@@ -1,6 +1,6 @@
 """Gate-level simulation backend benchmarks.
 
-Two acceptance properties, one per packed backend:
+Two acceptance properties, one per packed-backend registration:
 
 - **Compiled vs interpreted** (the 20-fault campaign): one 64-lane
   batched run is at least 10x faster than the interpreted reference,
@@ -11,7 +11,9 @@ Two acceptance properties, one per packed backend:
   campaign chunked through 64-lane compiled runs.
 
 Both comparisons require bit-identical results before any timing
-counts.
+counts.  A third test records the **lane-count table**: lane-cycles/s
+of one ``vector`` run at 1, 20, 64, 124, 512 and 4,096 lanes, and which
+kernel emitter (Python-int or NumPy-array) the lane count selected.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): single repetition
 with reduced lane/instruction budgets and no speedup thresholds -- it
@@ -20,7 +22,9 @@ runner machine is.  Run locally with
 ``pytest benchmarks/test_bench_gatesim.py -s`` for the timing report.
 
 Set ``REPRO_BENCH_GATESIM_JSON=<path>`` to emit a machine-readable
-``BENCH_GATESIM.json`` summary (CI uploads it with the obs artifacts).
+``BENCH_GATESIM.json`` summary (CI uploads it with the obs artifacts):
+the wafer-scale run's fields at the top level, the lane-count table
+under ``"lane_table"``.
 """
 
 import json
@@ -36,6 +40,7 @@ from repro.fab.testing import (
     sample_fault_sites,
 )
 from repro.isa import get_isa
+from repro.netlist.backend import make_backend
 from repro.netlist.cores import build_flexicore4
 from repro.netlist.verify import run_cross_check_batch
 
@@ -51,6 +56,29 @@ ROUNDS = 1 if SMOKE else 3
 WAFER_LANES = 256 if SMOKE else 4096
 WAFER_INSTRUCTIONS = 20 if SMOKE else 120
 WAFER_ACCEPTANCE = 10.0
+
+#: Lane counts of the lane-count table: a single lane, the 20-fault
+#: campaign, one full word, a 124-die wafer, and two wide campaigns.
+TABLE_LANES = (1, 20, 64, 124, 512, 4096)
+
+
+def _record(section, payload):
+    """Merge ``payload`` into the BENCH_GATESIM.json artifact, if one is
+    requested: at the top level when ``section`` is None, else under
+    that key (tests may run in any order)."""
+    artifact = os.environ.get("REPRO_BENCH_GATESIM_JSON")
+    if not artifact:
+        return
+    document = {}
+    if os.path.exists(artifact):
+        with open(artifact) as handle:
+            document = json.load(handle)
+    if section is None:
+        document.update(payload)
+    else:
+        document[section] = payload
+    with open(artifact, "w") as handle:
+        json.dump(document, handle, indent=2)
 
 
 def _campaign(netlist, isa, backend, seed=2022):
@@ -121,7 +149,7 @@ class TestFaultCampaignSpeedup:
         assert study.injected == FAULTS
 
 
-def _wafer_campaign(netlist):
+def _wafer_campaign(netlist, lanes=WAFER_LANES):
     """One fixed wafer-scale fault list: mostly single-fault lanes
     cycling over every distinct fc4 site, a healthy lane every ninth
     (die with no defects), drawn once so both backends see the same
@@ -130,7 +158,7 @@ def _wafer_campaign(netlist):
     sites = sample_fault_sites(netlist, rng, 10_000)  # clamps to all
     faults = [
         None if lane % 9 == 0 else sites[lane % len(sites)]
-        for lane in range(WAFER_LANES)
+        for lane in range(lanes)
     ]
     inputs = [int(value) for value in rng.integers(0, 16, size=64)]
     return faults, inputs
@@ -195,10 +223,7 @@ class TestWaferScaleSpeedup:
             "acceptance": WAFER_ACCEPTANCE,
             "smoke": SMOKE,
         }
-        artifact = os.environ.get("REPRO_BENCH_GATESIM_JSON")
-        if artifact:
-            with open(artifact, "w") as handle:
-                json.dump(payload, handle, indent=2)
+        _record(None, payload)
         print_result(
             f"Wafer-scale gate-sim speedup ({WAFER_LANES}-lane "
             f"campaign, FlexiCore4, {WAFER_INSTRUCTIONS} instructions)",
@@ -225,3 +250,44 @@ class TestWaferScaleSpeedup:
             rounds=ROUNDS, iterations=1,
         )
         assert len(results) == WAFER_LANES
+
+
+class TestLaneCountTable:
+    def test_lane_cycles_per_second_by_lane_count(self):
+        """Lane-cycles/s of one ``vector`` run per lane count (best of
+        ``ROUNDS``), on the wafer campaign's fault list and stimulus."""
+        netlist = build_flexicore4()
+        isa = get_isa("flexicore4")
+        program = directed_program(isa)
+        rows = []
+        for lanes in TABLE_LANES:
+            faults, inputs = _wafer_campaign(netlist, lanes)
+            best = float("inf")
+            for _ in range(ROUNDS):
+                started = time.perf_counter()
+                results = _run_wafer(
+                    "vector", netlist, isa, program, inputs, faults
+                )
+                best = min(best, time.perf_counter() - started)
+            cycles = results[0].cycles
+            rows.append({
+                "lanes": lanes,
+                "emitter": make_backend("vector", netlist, lanes).emitter,
+                "cycles": cycles,
+                "seconds": best,
+                "lane_cycles_per_s": lanes * cycles / best,
+            })
+        _record("lane_table", {
+            "instructions": WAFER_INSTRUCTIONS, "smoke": SMOKE,
+            "rows": rows,
+        })
+        print_result(
+            f"Gate-sim lane-count table (vector, FlexiCore4, "
+            f"{WAFER_INSTRUCTIONS} instructions)",
+            "\n".join(
+                f"{row['lanes']:>6} lanes  {row['emitter']:<5}  "
+                f"{row['seconds'] * 1e3:8.1f} ms  "
+                f"{row['lane_cycles_per_s']:>12,.0f} lane-cycles/s"
+                for row in rows
+            ),
+        )

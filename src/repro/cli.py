@@ -28,13 +28,14 @@ collected run persists to the state directory for ``repro obs``.
 Commands that run gate-level simulation (``yield``, ``dse``,
 ``pareto``, ``conform run``) take ``--backend
 interpreted|compiled|vector`` to pick the simulation backend
-(default: compiled, the 64-lane bit-parallel engine; ``interpreted``
-is the single-lane reference; ``vector`` evaluates wafer-scale NumPy
-lane arrays -- see docs/GATESIM.md).  An unknown backend name exits 2
-with a one-line error.  ``yield --fault-check N`` additionally grounds
-the yield model with an N-fault stuck-at injection campaign per core,
-and ``yield --gate-level`` recomputes the Table 5 yields by actually
-simulating every fabricated die at the gate level.
+(default: compiled; ``compiled`` and ``vector`` are one lane-packed
+generator with 64 and 65,536 lanes per run, ``interpreted`` is the
+single-lane reference -- see docs/GATESIM.md).  An unknown backend
+name exits 2 with a one-line error.  ``yield --fault-check N``
+additionally grounds the yield model with an N-fault stuck-at
+injection campaign per core, and ``yield --gate-level`` recomputes
+the Table 5 yields by actually simulating every fabricated die at the
+gate level.
 """
 
 import argparse
@@ -151,9 +152,9 @@ def _add_backend_argument(parser):
     # usage dump on some paths and a traceback on others.
     parser.add_argument(
         "--backend", default="compiled",
-        help="gate-level simulation backend: 'compiled' (default, the "
-             "64-lane bit-parallel engine), 'vector' (wafer-scale "
-             "NumPy lane arrays), or 'interpreted' (the single-lane "
+        help="gate-level simulation backend: 'compiled' (default) or "
+             "'vector' -- the same lane-packed generator, 64 or 65,536 "
+             "lanes per run -- or 'interpreted' (the single-lane "
              "reference)",
     )
 
@@ -1006,7 +1007,7 @@ def build_parser():
     p.add_argument("--gate-level", action="store_true",
                    help="recompute Table 5 by gate-level simulation of "
                         "every fabricated die (one cross-check lane "
-                        "per die; fastest with --backend vector)")
+                        "per die)")
     _add_backend_argument(p)
     _add_engine_arguments(p)
     _add_obs_arguments(p)

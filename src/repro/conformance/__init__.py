@@ -2,8 +2,9 @@
 
 Everywhere the codebase keeps two implementations of one contract --
 the reference step interpreter vs the predecoded fast path, the
-interpreted vs the compiled gate backend, cached vs freshly computed
-engine results, the vectorized vs a scalar wafer Monte Carlo, and the
+interpreted vs the compiled gate backend, the packed gate generator's
+two kernel emitters, cached vs freshly computed engine results, the
+vectorized vs a scalar wafer Monte Carlo, and the
 assembler vs the disassembler -- this package generates random but
 valid stimuli, drives both sides, and demands bit-identical answers.
 

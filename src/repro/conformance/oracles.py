@@ -10,9 +10,10 @@ exactly:
 - ``backend``   -- interpreted vs compiled gate-level backend
   (per-lane mismatch counts, first-mismatch text, cycle counts, and
   toggle statistics, healthy lane plus injected stuck-at faults);
-- ``vector``    -- compiled vs vector (wafer-scale NumPy) gate-level
-  backend, same observables as ``backend`` but with campaigns sized
-  to cross the vector backend's 64-lane word boundary;
+- ``vector``    -- the packed gate-level generator's Python-int kernel
+  emitter vs its NumPy-array emitter at the same lane count, same
+  observables as ``backend`` over campaigns that straddle the 64-lane
+  word boundary and over 124-lane multi-defect wafers;
 - ``cache``     -- a job result computed directly, computed through the
   engine into a fresh cache, and read back from that cache;
 - ``fab``       -- the field-batched wafer Monte Carlo vs the scalar
@@ -189,28 +190,28 @@ def generate_backend(target, rng):
     return payload
 
 
-def _execute_backend_pair(case, backends):
+def _observe_lanes(case, backend):
+    """Cross-check the case's campaign on ``backend``: a healthy lane,
+    then one lane per payload fault entry -- a ``[gate, stuck]`` pair
+    or a list of pairs (one multi-defect die)."""
     from repro.isa import get_isa
     from repro.netlist.verify import run_cross_check_batch
 
-    netlist = _gate_core_for(case.target)
-    isa = get_isa(case.target)
-    image = _assemble(case.target, case.payload).image()
-    faults = [None] + [
-        (gate, stuck) for gate, stuck in case.payload.get("faults", [])
-    ]
-    observations = {}
-    for backend in backends:
-        lanes = run_cross_check_batch(
-            netlist, isa, image,
-            inputs=case.payload.get("inputs", []),
-            max_instructions=case.payload.get("max_instructions", 32),
-            faults=faults, backend=backend,
-        )
-        observations[backend] = [
-            dataclasses.asdict(lane) for lane in lanes
-        ]
-    return compare_observations(case, observations)
+    lanes = run_cross_check_batch(
+        _gate_core_for(case.target), get_isa(case.target),
+        _assemble(case.target, case.payload).image(),
+        inputs=case.payload.get("inputs", []),
+        max_instructions=case.payload.get("max_instructions", 32),
+        faults=[None] + list(case.payload.get("faults", [])),
+        backend=backend,
+    )
+    return [dataclasses.asdict(lane) for lane in lanes]
+
+
+def _execute_backend_pair(case, backends):
+    return compare_observations(case, {
+        backend: _observe_lanes(case, backend) for backend in backends
+    })
 
 
 def execute_backend(case):
@@ -227,7 +228,7 @@ register_oracle(Oracle(
 
 
 # ----------------------------------------------------------------------
-# Oracle 6: compiled vs vector (wafer-scale) gate-level backend.
+# Oracle 6: the packed generator's int emitter vs its NumPy emitter.
 # ----------------------------------------------------------------------
 
 def generate_vector(target, rng):
@@ -237,24 +238,48 @@ def generate_vector(target, rng):
     payload = random_flat_payload(isa, rng, max_instructions=24)
     payload["max_instructions"] = int(rng.integers(12, 40))
     netlist = _gate_core_for(target)
-    # Mostly small campaigns, but often enough faults that the vector
-    # backend's lanes spill past bit 63 into the second uint64 word --
-    # the packing arithmetic the compiled backend never exercises.
-    if rng.random() < 0.25:
-        count = int(rng.integers(60, 97))
+    shape = rng.random()
+    if shape < 0.25:
+        # Single-fault lanes spilling past bit 63 into the second
+        # lane word.
+        payload["faults"] = random_fault_sites(
+            netlist, rng, int(rng.integers(60, 97))
+        )
+    elif shape < 0.5:
+        # A 124-lane wafer: 123 dies of Poisson multi-defect draws
+        # (some empty, some naming one gate stuck both ways).
+        payload["faults"] = [
+            random_fault_sites(netlist, rng, int(rng.poisson(1.5)))
+            for _ in range(123)
+        ]
     else:
-        count = int(rng.integers(0, 8))
-    payload["faults"] = random_fault_sites(netlist, rng, count)
+        payload["faults"] = random_fault_sites(
+            netlist, rng, int(rng.integers(0, 8))
+        )
     return payload
 
 
 def execute_vector(case):
-    return _execute_backend_pair(case, ("compiled", "vector"))
+    """Run the campaign through each emitter by moving the lane-count
+    threshold that picks it, restoring it afterwards."""
+    from repro.netlist.backend import packed
+
+    saved = packed.INT_EMITTER_MAX_LANES
+    observations = {}
+    try:
+        for emitter, threshold in (("int", packed.VECTOR_MAX_LANES),
+                                   ("array", 0)):
+            packed.INT_EMITTER_MAX_LANES = threshold
+            observations[emitter] = _observe_lanes(case, "vector")
+    finally:
+        packed.INT_EMITTER_MAX_LANES = saved
+    return compare_observations(case, observations)
 
 
 register_oracle(Oracle(
     name="vector",
-    description="compiled == vector wafer-scale gate-level simulation",
+    description="int-emitter == NumPy-emitter packed gate-level "
+                "simulation",
     generate=generate_vector,
     execute=execute_vector,
     cost=10,

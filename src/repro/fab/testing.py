@@ -29,8 +29,8 @@ def fault_chunk_size(backend=None):
     """Fault-campaign chunk size for ``backend``: its lane capacity.
 
     Campaign drivers size their chunks from the *selected* backend's
-    ``max_lanes`` (64 for compiled, wafer-scale for vector) rather than
-    a hardcoded word width, so the final chunk carries exactly the
+    ``max_lanes`` (64 for compiled, 65,536 for vector) rather than a
+    hardcoded word width, so the final chunk carries exactly the
     leftover faults instead of padding idle lanes.
     """
     return max(1, resolve_backend(backend).max_lanes)
@@ -122,13 +122,14 @@ def sample_fault_sites(netlist, rng, count):
     keeps duplicate sites from inflating apparent coverage; the draw is
     clamped to the number of available sites.
     """
-    sites = [(gate.name, stuck)
-             for gate in netlist.gates for stuck in (0, 1)]
-    count = min(count, len(sites))
+    # Site 2*g + s is gate g stuck-at s; index arithmetic instead of a
+    # materialized site list (this runs once per defective die).
+    gates = netlist.gates
+    count = min(count, 2 * len(gates))
     if count == 0:
         return []
-    chosen = rng.choice(len(sites), size=count, replace=False)
-    return [sites[int(index)] for index in chosen]
+    chosen = rng.choice(2 * len(gates), size=count, replace=False)
+    return [(gates[index // 2].name, index % 2) for index in chosen.tolist()]
 
 
 def fault_injection_study(netlist, isa, rng, faults=20,
@@ -141,12 +142,11 @@ def fault_injection_study(netlist, isa, rng, faults=20,
     actually observe the defect.
 
     The fault list is packed into the lanes of the selected
-    :mod:`repro.netlist.backend`, chunked by :func:`fault_chunk_size`:
-    the compiled backend takes a 64-fault chunk per simulation run, the
-    vector backend takes the whole campaign (every fault one lane of a
-    wafer-scale array) in a single run.  ``fastpath`` selects the
-    predecoded ISA replay (``False`` keeps the per-instruction decode
-    reference).
+    :mod:`repro.netlist.backend`, chunked by :func:`fault_chunk_size`
+    (the backend's lane capacity: 64 faults per run on ``compiled``,
+    the whole campaign in one run on ``vector``).  ``fastpath``
+    selects the predecoded ISA replay (``False`` keeps the
+    per-instruction decode reference).
     """
     program = directed_program(isa)
     inputs = [int(rng.integers(0, 16)) for _ in range(64)]

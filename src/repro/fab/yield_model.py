@@ -14,7 +14,7 @@ suite (Figure 6's wafer maps); every probed die reports a current draw
 
 :func:`gate_probe_wafer` replaces the analytic pass/fail model with an
 actual gate-level campaign: each die's defect draw becomes stuck-at
-faults in one simulation lane of a wafer-scale vector backend, so a
+faults in one simulation lane of a lane-packed backend, so a
 full Table 5 yield study (:func:`run_gate_yield_study`) is *simulated*
 die by die in a handful of engine jobs, with every die replayable
 bit-for-bit against the interpreted reference.
@@ -393,12 +393,11 @@ def gate_probe_wafer(netlist, isa, fabricated, rng, voltages=(3.0, 4.5),
     distinct stuck-at sites (its whole multi-defect draw occupying one
     lane), and the entire wafer runs as a single
     :func:`~repro.netlist.verify.run_cross_check_batch` campaign --
-    under the vector backend, one settle pass advances all 124 dies at
-    once.  Mismatch counts are voltage-independent (a stuck gate fails
-    the vectors at any supply), so one gate campaign serves every
-    probe voltage; timing is classified analytically per voltage from
-    the die's speed factor, exactly as :meth:`FabricatedWafer.probe`
-    does.
+    one settle pass advances all 124 dies at once.  Mismatch counts
+    are voltage-independent (a stuck gate fails the vectors at any
+    supply), so one gate campaign serves every probe voltage; timing
+    is classified analytically per voltage from the die's speed
+    factor, exactly as :meth:`FabricatedWafer.probe` does.
 
     Returns ``(probes, campaign)``: ``probes`` maps voltage to a
     :class:`WaferProbeResult` whose error counts are the *gate-level*
@@ -545,10 +544,11 @@ def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
     """The Table 5 study with every die *simulated*, not modelled.
 
     One engine job per wafer (see :func:`gate_wafer_yield_job`); each
-    job runs its whole wafer as a single gate-level campaign through
-    ``backend`` (default ``"vector"``, whose lane capacity covers any
-    wafer).  Returns ``{"summary": {voltage: table5_row},
-    "wafers": [per-wafer job results]}`` -- the summary matches
+    job runs its whole wafer as a gate-level campaign through
+    ``backend``, chunked by that backend's lane capacity (the default
+    ``"vector"`` takes any wafer in one run).  Returns
+    ``{"summary": {voltage: table5_row}, "wafers": [per-wafer job
+    results]}`` -- the summary matches
     :func:`run_yield_study`'s shape, the wafer entries carry the
     gate-level Figure 6 error maps and the per-die fault sites needed
     to cross-check sampled dies against the interpreted reference.

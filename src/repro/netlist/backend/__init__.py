@@ -1,24 +1,23 @@
 """Gate-level simulation backends behind one interface.
 
-Three implementations of :class:`SimBackend`:
+Two implementations of :class:`SimBackend`:
 
 - ``"interpreted"`` -- the per-gate dict interpreter
   (:class:`InterpretedBackend`), one lane per instance, kept as the
   bit-exact reference;
-- ``"compiled"`` -- the levelized bit-parallel evaluator
-  (:class:`CompiledBackend`), packing up to 64 independent fault lanes
-  into the bits of 64-bit words, so one settle pass simulates a whole
-  fault campaign chunk;
-- ``"vector"`` -- the wafer-scale evaluator (:class:`VectorBackend`),
-  generalizing the packing to NumPy ``uint64`` lane arrays of shape
-  ``(words,)`` per net, so capacity is ``64 x words`` lanes and one
-  settle pass advances every die on a wafer.
+- :class:`PackedBackend` -- the levelized lane-packed generator, which
+  specializes one straight-line kernel per fault set and picks its
+  word type by lane count (Python ints up to
+  ``INT_EMITTER_MAX_LANES`` lanes, NumPy ``uint64`` rows above).  It is
+  registered twice, differing only in lane capacity: ``"compiled"``
+  (:class:`CompiledBackend`, 64 lanes, one fault-campaign chunk) and
+  ``"vector"`` (:class:`VectorBackend`, 65,536 lanes, a whole wafer).
 
 Consumers (cross-checks, fault campaigns, toggle studies, the CLI)
 select a backend by name; ``None`` means the process-wide default set
 by :func:`configure` (see the ``--backend`` CLI flag).  See
-``docs/GATESIM.md`` for lane packing, levelization, and guidance on
-choosing a backend.
+``docs/GATESIM.md`` for lane packing, levelization and the emitter
+crossover.
 """
 
 from repro.netlist.backend.base import (
@@ -30,13 +29,16 @@ from repro.netlist.backend.base import (
     make_backend,
     resolve_backend,
 )
-from repro.netlist.backend.compiled import (
+from repro.netlist.backend.interpreted import InterpretedBackend
+from repro.netlist.backend.packed import (
     FULL_MASK,
+    INT_EMITTER_MAX_LANES,
+    VECTOR_MAX_LANES,
     WORD_LANES,
     CompiledBackend,
+    PackedBackend,
+    VectorBackend,
 )
-from repro.netlist.backend.interpreted import InterpretedBackend
-from repro.netlist.backend.vector import VECTOR_MAX_LANES, VectorBackend
 from repro.netlist.levelize import CombinationalLoopError, levelize
 
 __all__ = [
@@ -44,7 +46,9 @@ __all__ = [
     "CombinationalLoopError",
     "CompiledBackend",
     "FULL_MASK",
+    "INT_EMITTER_MAX_LANES",
     "InterpretedBackend",
+    "PackedBackend",
     "SimBackend",
     "VECTOR_MAX_LANES",
     "VectorBackend",

@@ -4,11 +4,10 @@ A backend evaluates a gate-level netlist over one or more *lanes*.  A
 lane is one independent simulation of the design: same stimulus, but
 its own injected stuck-at faults and its own toggle counts.  The
 interpreted backend runs one lane per instance (the bit-exact
-reference); the compiled backend packs up to 64 lanes into the bits of
-machine words, so one settle pass advances 64 fault candidates or
-Monte Carlo dies at once; the vector backend generalizes the packing
-to NumPy ``uint64`` lane arrays, lifting capacity to ``64 x words``
-lanes so a single settle pass evaluates every die on a wafer.
+reference); the packed backends (``compiled`` and ``vector``, one
+generator that differs only in lane capacity) pack many lanes into the
+bits of lane words, so one settle pass advances a whole fault campaign
+chunk or every die on a wafer at once.
 
 Consumers address backends by name (``"interpreted"`` /
 ``"compiled"`` / ``"vector"``) through :func:`make_backend`; ``None``
@@ -76,6 +75,10 @@ def lane_fault_list(entry):
     ``(gate_name, stuck_value)`` pair, or an iterable of such pairs --
     the multi-fault form encodes one die's whole defect draw in one
     lane.  All backends accept all three forms.
+
+    Pairs apply in order, so when one lane names the same gate twice
+    (say stuck-at-1, then stuck-at-0) the last pair wins -- the
+    interpreted reference's ``inject_fault`` semantics.
     """
     if entry is None:
         return []
@@ -125,7 +128,9 @@ class SimBackend(ABC):
         ``faults`` is a sequence of at most ``lanes`` entries, each
         ``None`` (healthy lane), a ``(gate_name, stuck_value)`` pair,
         or an iterable of such pairs (a multi-defect die occupies one
-        lane).  Replaces any previously installed faults.
+        lane).  Within a lane, a later pair for the same gate overrides
+        an earlier one (see :func:`lane_fault_list`).  Replaces any
+        previously installed faults.
         """
 
     @abstractmethod
@@ -205,58 +210,3 @@ class SimBackend(ABC):
         batched fault campaign reports the same totals as the
         equivalent serial one.
         """
-
-    # -- shared helpers for packed backends ---------------------------
-    # These assume the dense-net-numbering attributes (`_net_ids`,
-    # `_bus_cache`, `_lanes`) that the compiled and vector backends
-    # both maintain.
-
-    def _bus_nets(self, stem):
-        """Net indices of ``stem0..N`` (empty when no such bus)."""
-        nets = []
-        while True:
-            index = self._net_ids.get(f"{stem}{len(nets)}")
-            if index is None:
-                return nets
-            nets.append(index)
-
-    def _bus_ids(self, stem, width):
-        key = (stem, width)
-        cached = self._bus_cache.get(key)
-        if cached is not None:
-            return cached
-        nets = self._bus_nets(stem)
-        if not nets:
-            raise KeyError(f"no such bus '{stem}'")
-        if width is not None:
-            if len(nets) < width:
-                raise KeyError(
-                    f"bus '{stem}' is only {len(nets)} bits wide; "
-                    f"cannot read {width} bits"
-                )
-            nets = nets[:width]
-        self._bus_cache[key] = nets
-        return nets
-
-    def _check_lane(self, lane):
-        if not 0 <= lane < self._lanes:
-            raise IndexError(
-                f"lane {lane} out of range for a {self._lanes}-lane "
-                f"backend"
-            )
-
-    # -- shared input validation --------------------------------------
-
-    def _validate_scalar(self, name, value):
-        if value not in (0, 1):
-            raise ValueError(
-                f"input '{name}' is a single net; value must be 0 or 1, "
-                f"got {value!r}"
-            )
-
-    def _validate_bus(self, stem, width, value):
-        if not 0 <= value < (1 << width):
-            raise ValueError(
-                f"value {value!r} out of range for {width}-bit bus "
-                f"'{stem}'"
-            )

@@ -1,13 +1,15 @@
 """Property-style equivalence: packed backends vs the interpreted reference.
 
-The compiled and vector backends' only correctness contract is
-"bit-identical to the interpreter": same outputs, same per-gate toggle
-counts, same fault verdicts, same observability totals.  These tests
-check that contract on random programs and random fault sites over the
+The packed backends' (``compiled`` and ``vector``, one generator with
+two kernel emitters) only correctness contract is "bit-identical to
+the interpreter": same outputs, same per-gate toggle counts, same
+fault verdicts, same observability totals.  These tests check that
+contract on random programs and random fault sites over the
 fabricated cores (FlexiCore4, FlexiCore8) and on random stimulus over
-the DSE cores; the vector backend is additionally exercised across its
-64-lane word boundary (non-multiple-of-64 lane counts), with zero-fault
-lanes, multi-defect die lanes, and per-lane input variation.
+the DSE cores; the packed lanes are additionally exercised across the
+64-lane word boundary (non-multiple-of-64 lane counts), with
+zero-fault lanes, multi-defect die lanes, conflicting stuck-at pairs
+on one gate, per-lane input variation, and each emitter forced.
 """
 
 import numpy as np
@@ -17,12 +19,15 @@ from repro import obs
 from repro.fab.testing import random_program, sample_fault_sites
 from repro.isa import get_isa
 from repro.isa.extended import FULL_FEATURES
+from repro.netlist.backend import packed
 from repro.netlist.backend import (
     BACKENDS,
+    INT_EMITTER_MAX_LANES,
     VECTOR_MAX_LANES,
     WORD_LANES,
     CompiledBackend,
     InterpretedBackend,
+    PackedBackend,
     VectorBackend,
     configure,
     default_backend,
@@ -458,3 +463,160 @@ class TestRegistry:
         finally:
             configure()
         assert default_backend() == "compiled"
+
+
+def _force_emitter(monkeypatch, emitter):
+    """Pin the packed generator's emitter by moving its lane threshold."""
+    monkeypatch.setattr(
+        packed, "INT_EMITTER_MAX_LANES",
+        VECTOR_MAX_LANES if emitter == "int" else 0,
+    )
+
+
+def _multi_defect_lanes(netlist, rng, lanes):
+    """``lanes`` fault entries shaped like a wafer: healthy dies, single
+    sites, and multi-defect draws of up to four sites."""
+    sites = sample_fault_sites(netlist, rng, 10_000)
+    entries = []
+    for lane in range(lanes):
+        count = lane % 5
+        chosen = rng.choice(len(sites), size=count, replace=False)
+        entries.append([sites[int(i)] for i in chosen] or None)
+    return entries
+
+
+class TestPackedEmitters:
+    """The one packed generator: emitter choice, conflicting fault
+    pairs, and the int emitter past one 64-bit word."""
+
+    def test_emitter_flips_exactly_at_threshold(self, cores, monkeypatch):
+        netlist = cores["flexicore4"]
+        limit = INT_EMITTER_MAX_LANES
+        assert VectorBackend(netlist, lanes=limit).emitter == "int"
+        assert VectorBackend(netlist, lanes=limit + 1).emitter == "array"
+        monkeypatch.setattr(packed, "INT_EMITTER_MAX_LANES", 70)
+        assert VectorBackend(netlist, lanes=70).emitter == "int"
+        assert VectorBackend(netlist, lanes=71).emitter == "array"
+        # The registrations differ only in capacity, not in emitter.
+        assert CompiledBackend(netlist, lanes=64).emitter == "int"
+        assert issubclass(CompiledBackend, PackedBackend)
+        assert issubclass(VectorBackend, PackedBackend)
+
+    def test_one_kernel_per_fault_set(self, cores, monkeypatch):
+        netlist = cores["flexicore4"]
+        isa = get_isa("flexicore4")
+        program = random_program(isa, np.random.default_rng(1), length=16)
+        builds = []
+        original = PackedBackend._specialize
+
+        def counting(self):
+            builds.append(self.lanes)
+            return original(self)
+
+        monkeypatch.setattr(PackedBackend, "_specialize", counting)
+        sites = sample_fault_sites(netlist, np.random.default_rng(2), 20)
+        for backend in ("compiled", "vector"):
+            builds.clear()
+            run_cross_check_batch(netlist, isa, program,
+                                  max_instructions=20, faults=sites,
+                                  backend=backend)
+            assert builds == [20]
+        builds.clear()
+        run_cross_check(netlist, isa, program, max_instructions=20,
+                        backend="vector")
+        assert builds == [1]
+
+    @pytest.mark.parametrize("core", FAB_CORES)
+    @pytest.mark.parametrize("emitter", ["int", "array"])
+    def test_conflicting_pairs_last_wins(self, cores, core, emitter,
+                                         monkeypatch):
+        """A lane naming one gate stuck-at-1 then stuck-at-0 (or the
+        reverse) behaves like the interpreter: the last pair wins."""
+        netlist = cores[core]
+        isa = get_isa(core)
+        rng = np.random.default_rng(191)
+        program = random_program(isa, rng, length=32)
+        inputs = _random_inputs(rng, isa.word_bits, 16)
+        comb = [g.name for g in netlist.gates if not g.sequential]
+        flop = next(g.name for g in netlist.gates if g.sequential)
+        lanes = [None]
+        for gate in (comb[len(comb) // 2], comb[-1], flop):
+            lanes += [[(gate, 1), (gate, 0)], [(gate, 0), (gate, 1)]]
+        lanes.append([(comb[0], 1), (flop, 0), (comb[0], 0)])
+
+        reference = run_cross_check_batch(
+            netlist, isa, program, inputs=inputs, max_instructions=40,
+            faults=lanes, backend="interpreted",
+        )
+        _force_emitter(monkeypatch, emitter)
+        for backend in ("compiled", "vector"):
+            assert run_cross_check_batch(
+                netlist, isa, program, inputs=inputs, max_instructions=40,
+                faults=lanes, backend=backend,
+            ) == reference
+        # Each conflicting lane equals its last pair alone.
+        for entry, result in zip(lanes[1:7], reference[1:7]):
+            alone = run_cross_check(
+                netlist, isa, program, inputs=inputs, max_instructions=40,
+                fault=entry[-1], backend="interpreted",
+            )
+            assert result == alone
+
+    @pytest.mark.parametrize("lanes", [65, 124, 129])
+    def test_int_emitter_past_one_word_matches_interpreter(self, cores,
+                                                           lanes):
+        """Multi-defect campaigns wider than a machine word: every lane's
+        mismatch count, first-mismatch text and toggle statistics equal
+        a serial interpreted run."""
+        netlist = cores["flexicore4"]
+        isa = get_isa("flexicore4")
+        rng = np.random.default_rng(lanes)
+        program = random_program(isa, rng, length=32)
+        inputs = _random_inputs(rng, isa.word_bits, 24)
+        faults = _multi_defect_lanes(netlist, rng, lanes)
+        assert VectorBackend(netlist, lanes=lanes).emitter == "int"
+        packed_results = run_cross_check_batch(
+            netlist, isa, program, inputs=inputs, max_instructions=30,
+            faults=faults, backend="vector",
+        )
+        reference = run_cross_check_batch(
+            netlist, isa, program, inputs=inputs, max_instructions=30,
+            faults=faults, backend="interpreted",
+        )
+        assert packed_results == reference
+        assert any(not result.passed for result in reference[64:])
+
+    @pytest.mark.parametrize("lanes", [65, 124, 129])
+    def test_int_emitter_per_lane_inputs_match_interpreter(self, cores,
+                                                           lanes):
+        """set_input_lanes stimulus with multi-defect lanes, past bit 63:
+        pins and per-gate toggles equal per-lane interpreted runs."""
+        netlist = cores["flexicore4"]
+        rng = np.random.default_rng(1000 + lanes)
+        faults = _multi_defect_lanes(netlist, rng, lanes)
+        sim = VectorBackend(netlist, lanes=lanes)
+        assert sim.emitter == "int"
+        sim.set_fault_lanes(faults)
+        serial = []
+        for entry in faults:
+            reference = InterpretedBackend(netlist)
+            reference.set_fault_lanes([entry])
+            serial.append(reference)
+        for _ in range(12):
+            instr = int(rng.integers(0, 256))
+            iports = rng.integers(0, 16, size=lanes)
+            sim.set_inputs({"instr": instr})
+            sim.set_input_lanes({"iport": iports})
+            sim.step()
+            for lane, reference in enumerate(serial):
+                reference.set_inputs({
+                    "instr": instr, "iport": int(iports[lane]),
+                })
+                reference.step()
+        pcs = sim.read_bus_lanes("pc")
+        for lane, reference in enumerate(serial):
+            assert pcs[lane] == reference.read_bus("pc")
+            assert sim.read_bus("oport", lane=lane) == \
+                reference.read_bus("oport")
+            assert sim.toggles(lane) == reference.toggles()
+            assert sim.toggle_coverage(lane) == reference.toggle_coverage()

@@ -152,7 +152,7 @@ class TestOracleSmoke:
 
     def test_vector_lanes_agree(self):
         # Seeded so at least one case draws a 60..96-site campaign,
-        # crossing the vector backend's 64-lane word boundary.
+        # crossing the 64-lane word boundary on both kernel emitters.
         assert run_slice("vector", "flexicore4", 3) == []
 
     def test_cache_roundtrip_agrees(self):
