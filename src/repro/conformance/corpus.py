@@ -8,8 +8,8 @@ re-executes the oracle on the stored payload, so a failure found in a
 nightly fuzz run (or on another machine) replays locally with no seed
 archaeology.
 
-Writes are atomic (tmp + ``os.replace``), matching the rest of the
-state directory's crash-safety discipline.
+Writes are atomic (:func:`~repro.obs.state.atomic_write`), matching
+the rest of the state directory's crash-safety discipline.
 """
 
 import json
@@ -17,7 +17,7 @@ import os
 import time
 
 from repro.conformance.case import ConformanceCase
-from repro.obs.state import state_dir
+from repro.obs.state import atomic_write, state_dir
 
 #: Subdirectory of the obs state dir holding the corpus.
 CORPUS_DIRNAME = "conformance"
@@ -49,11 +49,9 @@ def save_entry(entry, root=None):
     directory = corpus_dir(root)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / entry_filename(entry)
-    tmp = directory / f"{path.name}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
+    with atomic_write(path) as handle:
         json.dump(entry, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")
-    os.replace(tmp, path)
     return path
 
 

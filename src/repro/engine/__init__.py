@@ -89,7 +89,7 @@ _DEFAULTS = {
     "retries": 2,
     "backoff": 0.05,
     "hooks": None,
-    "executor": None,     # None/"local" | "steal" | "socket" | Executor
+    "executor": None,     # None/"local" | "socket" | Executor
 }
 _config = dict(_DEFAULTS)
 _default_engine = None

@@ -34,8 +34,8 @@ loses no hits.
 
 Values that cannot be canonicalized deterministically (arbitrary objects
 whose ``repr`` embeds addresses) are rejected with ``TypeError`` rather
-than silently producing an unstable key; jobs with such parameters must
-supply ``Job.cache_key`` themselves.
+than silently producing an unstable key; the engine runs jobs with
+such parameters uncached unless they supply ``Job.cache_key``.
 """
 
 import dataclasses
@@ -49,6 +49,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+from repro.obs.state import atomic_write
 
 #: Environment override for the cache root directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -262,11 +264,8 @@ class ResultCache:
             return
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            path = self.root / SHARDS_FILENAME
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "w") as handle:
+            with atomic_write(self.root / SHARDS_FILENAME) as handle:
                 json.dump({"shards": self.shards}, handle)
-            os.replace(tmp, path)
             self._announced_shards = True
         except OSError:
             pass
@@ -382,14 +381,11 @@ class ResultCache:
             data_path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
             return False
-        tmp = data_path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            with open(tmp, "wb") as handle:
+            with atomic_write(data_path, "wb") as handle:
                 write(handle)
-            os.replace(tmp, data_path)
         except (OSError, pickle.PicklingError, TypeError,
                 AttributeError):
-            tmp.unlink(missing_ok=True)
             # Never leave metadata describing a value that was not
             # stored: a stale .json next to no (or an older) .pkl lies
             # about what the entry holds.
@@ -402,16 +398,11 @@ class ResultCache:
         entry_meta = {"fn": fn_name, "key": key,
                       "created": time.time()}
         entry_meta.update(meta or {})
-        meta_tmp = meta_path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            with open(meta_tmp, "w") as handle:
+            with atomic_write(meta_path) as handle:
                 json.dump(entry_meta, handle, indent=2, default=str)
-            os.replace(meta_tmp, meta_path)
         except OSError:
-            try:
-                meta_tmp.unlink()
-            except OSError:
-                pass
+            pass
         self._persist_shards()
         try:
             nbytes = data_path.stat().st_size

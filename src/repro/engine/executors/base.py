@@ -81,7 +81,7 @@ class Executor:
     abandoned (cancelled / timed-out) run are discarded on arrival.
     """
 
-    #: Spec name (``local`` / ``steal`` / ``socket``).
+    #: Spec name (``local`` / ``socket``).
     name = "?"
     #: True when the backend wants cache keys in payload entries even
     #: if the parent engine itself runs cache-less (remote workers keep
@@ -136,7 +136,7 @@ def make_executor(spec, **options):
     """Build an executor from a spec.
 
     ``spec`` is an :class:`Executor` instance (returned as-is), a
-    registered name (``local`` / ``steal`` / ``socket``), or ``None``
+    registered name (``local`` / ``socket``), or ``None``
     (the local default).  Unknown names raise ``ValueError`` listing
     the registered backends.
     """

@@ -49,7 +49,7 @@ class EngineMetrics:
     degraded: bool = False
     wall_s: float = 0.0
     workers: int = 1
-    #: Active executor backend (``local`` / ``steal`` / ``socket``).
+    #: Active executor backend (``local`` / ``socket``).
     executor: str = "local"
     stages: List[StageMetrics] = field(default_factory=list)
 
@@ -191,7 +191,7 @@ def persist_last_run(metrics, cache_root=None, executor=None):
     root = Path(cache_root)
     try:
         root.mkdir(parents=True, exist_ok=True)
-        with open(root / LAST_RUN_FILENAME, "w") as handle:
+        with obs_state.atomic_write(root / LAST_RUN_FILENAME) as handle:
             json.dump(payload, handle, indent=2)
     except OSError:
         pass

@@ -1,33 +1,34 @@
 """The experiment scheduler: fan jobs out, survive failures, stay exact.
 
-Since the pluggable-executor refactor the scheduler is one of three
-layers:
+The scheduler is one of three layers:
 
 - **this module** decides *what* runs and in *which order* -- flat
   batches through :meth:`Engine.run`, dependency graphs through
   :meth:`Engine.submit` + :meth:`Engine.run_graph`;
 - an :mod:`executor <repro.engine.executors>` decides *where* --
-  ``local`` (process pool, the default), ``steal`` (work-stealing
-  deques for skewed costs), or ``socket`` (a coordinator that
-  ``repro worker join`` workers attach to);
+  ``local`` (process pool, the default) or ``socket`` (a coordinator
+  that ``repro worker join`` workers attach to);
 - the :class:`~repro.engine.cache.ResultCache` remembers results by
-  content address, now sharded with a shared index tier.
+  content address, sharded with a shared index tier.
 
-Execution strategy for one :meth:`Engine.run`:
+Both entry points share one dispatch loop.  :meth:`Engine.run` turns
+each job into a graph node with no dependencies, whose cache key is
+the job's own, so warm caches written by either path hit.  Then:
 
-1. every job is first looked up in the result cache (when enabled);
-2. misses run either inline (``jobs <= 1``) or on the executor,
-   chunked to amortize IPC, with an optional per-job timeout;
+1. every node is first looked up in the result cache (when enabled);
+2. the rest run inline (local executor at ``jobs <= 1``, or at most
+   one node left to compute) or on the executor: each wave packs the
+   nodes whose dependencies have finished into chunked payloads, with
+   an optional per-job timeout;
 3. a job that raises inside a worker is retried *serially* with
    exponential backoff plus deterministic-seeded jitter (bounded by
    ``retries``);
 4. a broken executor or a timeout degrades the run to serial for the
-   remaining jobs rather than failing it.
+   remaining nodes rather than failing it.
 
-:meth:`Engine.run_graph` streams nodes whose dependencies have
-finished straight into the executor, so independent branches overlap;
-a node that exhausts its retries marks every transitive dependent
-``cancelled`` without running it, and unrelated branches continue.
+A node that exhausts its retries marks every transitive dependent
+``cancelled`` without running it, unrelated branches continue, and
+the first failure is raised once the run has drained.
 
 Because every job carries its own :class:`~repro.engine.job.ChildSeed`
 and results are reassembled in submission order, none of the above
@@ -43,11 +44,7 @@ from collections import deque
 
 from repro import obs
 from repro.engine.cache import ResultCache, job_cache_key
-from repro.engine.executors.base import (
-    ExecutorBroken,
-    execute_payload,
-    make_executor,
-)
+from repro.engine.executors.base import ExecutorBroken, make_executor
 from repro.engine.graph import (
     CACHED,
     CANCELLED,
@@ -68,10 +65,6 @@ from repro.engine.metrics import (
     StageMetrics,
     persist_last_run,
 )
-
-#: Back-compat alias: the worker-side entry point moved to
-#: :mod:`repro.engine.executors.base`.
-_execute_chunk = execute_payload
 
 
 class EngineJobError(RuntimeError):
@@ -156,14 +149,14 @@ class Engine:
         between attempts.
     chunk_size:
         Jobs per worker submission; defaults to the executor's
-        preference (``n / (4 * workers)`` for the local pool, ``1``
-        for stealing/socket backends).
+        preference per dispatch wave (``n / (4 * workers)`` for the
+        local pool, ``1`` for the socket backend).
     hooks:
         Iterable of ``hook(event, payload)`` progress callbacks.
     executor:
-        Backend spec: ``None``/``"local"`` (process pool),
-        ``"steal"``, ``"socket"``, or a ready
-        :class:`~repro.engine.executors.base.Executor` instance.
+        Backend spec: ``None``/``"local"`` (process pool), ``"socket"``,
+        or a ready :class:`~repro.engine.executors.base.Executor`
+        instance.
     """
 
     def __init__(self, jobs=1, cache=None, timeout=None, retries=2,
@@ -281,92 +274,16 @@ class Engine:
             raise EngineCancelled("engine run cancelled")
 
     def run(self, jobs, stage="run"):
-        """Run every job; return results in submission order."""
-        jobs = [job if isinstance(job, Job) else Job(*job)
-                for job in jobs]
-        started = time.perf_counter()
-        stage_metrics = StageMetrics(stage=stage, jobs=len(jobs))
-        self.metrics.jobs_submitted += len(jobs)
-        self._check_cancelled()
-        self._running = True
+        """Run every job; return results in submission order.
 
-        results = [None] * len(jobs)
-        try:
-            with obs.span(f"engine.{stage}", jobs=len(jobs)):
-                pending = []
-                keys = [None] * len(jobs)
-                for index, job in enumerate(jobs):
-                    if self.cache is not None and job.cached:
-                        keys[index] = job_cache_key(job)
-                        hit, value = self.cache.get(
-                            _fn_name(job), keys[index]
-                        )
-                        if hit:
-                            results[index] = value
-                            self.metrics.cache_hits += 1
-                            self.metrics.jobs_completed += 1
-                            stage_metrics.cache_hits += 1
-                            self.hooks.emit("job_done", {
-                                "label": job.label, "fn": _fn_name(job),
-                                "status": "cached", "attempts": 0,
-                                "elapsed_s": 0.0, "where": "cache",
-                            })
-                            continue
-                        self.metrics.cache_misses += 1
-                    pending.append(index)
-
-                if pending:
-                    # A non-local backend is worth engaging even at
-                    # jobs=1 (its workers live elsewhere); the local
-                    # pool is not.
-                    if ((self.jobs <= 1
-                         and self.executor_name == "local")
-                            or len(pending) == 1):
-                        self._run_serial(jobs, pending, results)
-                    else:
-                        self._run_parallel(jobs, pending, results, keys)
-                    for index in pending:
-                        if self.cache is not None and jobs[index].cached:
-                            self.cache.put(
-                                _fn_name(jobs[index]), keys[index],
-                                results[index], meta={
-                                    "label": jobs[index].label,
-                                    "seed": (jobs[index].seed.token()
-                                             if jobs[index].seed
-                                             else None),
-                                },
-                            )
-                    stage_metrics.computed = len(pending)
-
-                self.hooks.emit("stage_done", {
-                    "stage": stage, "jobs": len(jobs),
-                    "cache_hits": stage_metrics.cache_hits,
-                    "wall_s": time.perf_counter() - started,
-                })
-        finally:
-            # Runs on success, failure, *and* cancellation: the metrics
-            # record and the last-run snapshot must reflect what really
-            # happened, so an interrupted campaign never leaves a
-            # half-written or stale `.repro-state/` behind.  The
-            # snapshot goes to the state directory no matter how (or
-            # whether) results were cached, so `repro engine stats`
-            # reflects --no-cache runs too; a copy lands next to the
-            # cache for backward compatibility with cache-rooted
-            # readers.
-            self._running = False
-            if self._cancel.is_set():
-                # A cancelled executor may hold arbitrarily stale
-                # work; drop it so the next run starts clean.
-                self.close()
-            stage_metrics.wall_s = time.perf_counter() - started
-            self.metrics.wall_s += stage_metrics.wall_s
-            self.metrics.stages.append(stage_metrics)
-            persist_last_run(
-                self.metrics,
-                self.cache.root if self.cache is not None else None,
-                executor=self.describe_executor(),
-            )
-        return results
+        Each job becomes a graph node with no dependencies (whose
+        cache key is the job's own), run by the same loop as
+        :meth:`run_graph`.  Nodes queued by :meth:`submit` are left
+        for the next :meth:`run_graph`.
+        """
+        nodes = [self._make_node(index, job)
+                 for index, job in enumerate(jobs)]
+        return self._run_nodes(nodes, stage, raise_on_error=True)
 
     def run_one(self, job):
         return self.run([job], stage=job.label)[0]
@@ -383,20 +300,14 @@ class Engine:
         :meth:`run_graph` call runs everything submitted since the
         last one.
         """
-        job = job if isinstance(job, Job) else Job(*job)
-        node = JobNode(self._graph_seq, job, normalize_deps(deps))
+        node = self._make_node(self._graph_seq, job, deps)
         self._graph_seq += 1
         for dep in node.dep_nodes():
             if dep.status in (FAILED, CANCELLED):
                 raise GraphError(
                     f"dependency {dep.job.label!r} already "
-                    f"{dep.status}; cannot submit {job.label!r}"
+                    f"{dep.status}; cannot submit {node.job.label!r}"
                 )
-        try:
-            base_key = job_cache_key(job)
-        except TypeError:
-            base_key = None
-        node.key = node_cache_key(base_key, node.deps)
         self._graph.append(node)
         return node
 
@@ -414,6 +325,20 @@ class Engine:
         nodes, self._graph = self._graph, []
         if not nodes:
             return []
+        return self._run_nodes(nodes, stage, raise_on_error)
+
+    @staticmethod
+    def _make_node(index, job, deps=None):
+        job = job if isinstance(job, Job) else Job(*job)
+        node = JobNode(index, job, normalize_deps(deps))
+        try:
+            base_key = job_cache_key(job)
+        except TypeError:
+            base_key = None  # unkeyable params: the node runs uncached
+        node.key = node_cache_key(base_key, node.deps)
+        return node
+
+    def _run_nodes(self, nodes, stage, raise_on_error):
         started = time.perf_counter()
         stage_metrics = StageMetrics(stage=stage, jobs=len(nodes))
         self.metrics.jobs_submitted += len(nodes)
@@ -447,7 +372,6 @@ class Engine:
                             "label": node.job.label,
                             "seed": (node.job.seed.token()
                                      if node.job.seed else None),
-                            "graph": True,
                         },
                     )
             if not announced:
@@ -497,8 +421,7 @@ class Engine:
                         announced=True)
 
         try:
-            with obs.span(f"engine.{stage}", jobs=len(nodes),
-                          graph=True):
+            with obs.span(f"engine.{stage}", jobs=len(nodes)):
                 for node in nodes:
                     for dep in node.dep_nodes():
                         if dep.status in (FAILED, CANCELLED):
@@ -525,8 +448,9 @@ class Engine:
                 for node in nodes:
                     push_ready(node)
 
-                self._drive_graph(ready, resolve, fail,
-                                  run_serial_node)
+                to_compute = sum(node.status == PENDING for node in nodes)
+                self._dispatch(ready, resolve, run_serial_node,
+                               inline=to_compute <= 1)
 
                 self.hooks.emit("stage_done", {
                     "stage": stage, "jobs": len(nodes),
@@ -534,8 +458,14 @@ class Engine:
                     "wall_s": time.perf_counter() - started,
                 })
         finally:
+            # Runs on success, failure, *and* cancellation: the metrics
+            # record and the last-run snapshot must reflect what really
+            # happened, so an interrupted campaign never leaves a
+            # half-written or stale `.repro-state/` behind.
             self._running = False
             if self._cancel.is_set():
+                # A cancelled executor may hold arbitrarily stale
+                # work; drop it so the next run starts clean.
                 self.close()
             stage_metrics.wall_s = time.perf_counter() - started
             self.metrics.wall_s += stage_metrics.wall_s
@@ -555,8 +485,19 @@ class Engine:
         return Job(job.fn, effective_params(node), job.seed,
                    job.label, node.key, cached=job.cached)
 
-    def _drive_graph(self, ready, resolve, fail, run_serial_node):
-        use_parallel = self.jobs > 1 or self.executor_name != "local"
+    def _dispatch(self, ready, resolve, run_serial_node, inline):
+        """Drain ``ready`` (and whatever it unlocks) to completion.
+
+        Each wave packs every ready node into chunked payloads; a job
+        that fails inside a chunk is retried serially on its own.  A
+        broken executor or a timed-out chunk degrades the rest of the
+        run to serial.  The local pool is skipped at ``jobs <= 1`` (a
+        remote backend's workers live elsewhere), and so is any run
+        with at most one node left to compute.
+        """
+        use_parallel = not inline and (
+            self.jobs > 1 or self.executor_name != "local"
+        )
         executor = None
         if use_parallel:
             try:
@@ -566,22 +507,25 @@ class Engine:
                 use_parallel = False
         obs_ctx = obs.worker_context() if use_parallel else None
         self._run_seq += 1
-        prefix = f"g{self._run_seq}"
+        prefix = f"r{self._run_seq}"
         outstanding = {}
         deadlines = {}
 
-        def dispatch(node):
-            job = node.job
-            entry = (
-                job.fn, effective_params(node), job.seed, job.label,
-                node.key if job.cached else None,
-            )
-            task_id = f"{prefix}:{node.index}"
-            executor.submit(task_id, [entry], obs_ctx)
-            node.status = DISPATCHED
-            outstanding[task_id] = node
+        def dispatch(chunk):
+            payload = [
+                (node.job.fn, effective_params(node), node.job.seed,
+                 node.job.label, node.key if node.job.cached else None)
+                for node in chunk
+            ]
+            task_id = f"{prefix}:{chunk[0].index}"
+            executor.submit(task_id, payload, obs_ctx)
+            for node in chunk:
+                node.status = DISPATCHED
+            outstanding[task_id] = chunk
             if self.timeout:
-                deadlines[task_id] = time.monotonic() + self.timeout
+                deadlines[task_id] = (
+                    time.monotonic() + self.timeout * len(chunk)
+                )
 
         while ready or outstanding:
             self._check_cancelled()
@@ -589,14 +533,21 @@ class Engine:
                 run_serial_node(ready.popleft())
                 continue
             broken = None
-            while ready and broken is None:
-                node = ready.popleft()
-                try:
-                    dispatch(node)
-                except ExecutorBroken as exc:
-                    node.status = PENDING
-                    ready.appendleft(node)
-                    broken = exc
+            if ready:
+                wave = list(ready)
+                ready.clear()
+                workers = min(max(1, executor.workers or self.jobs),
+                              len(wave))
+                size = self.chunk_size or executor.preferred_chunk_size(
+                    len(wave), workers
+                )
+                for start in range(0, len(wave), size):
+                    try:
+                        dispatch(wave[start:start + size])
+                    except ExecutorBroken as exc:
+                        ready.extend(wave[start:])
+                        broken = exc
+                        break
             if outstanding and broken is None:
                 try:
                     item = executor.next_result(_CANCEL_POLL_S)
@@ -604,43 +555,33 @@ class Engine:
                     broken = exc
                     item = None
                 now = time.monotonic()
-                if broken is None and deadlines and any(
+                if broken is None and any(
                     deadline < now for deadline in deadlines.values()
                 ):
-                    broken = ExecutorBroken(
-                        "timeout waiting on graph node(s)"
-                    )
+                    broken = ExecutorBroken("timeout waiting on chunk(s)")
                 if item is not None:
                     task_id, outcomes, obs_payload = item
-                    node = outstanding.pop(task_id, None)
-                    if node is not None:
+                    chunk = outstanding.pop(task_id, None)
+                    if chunk is not None:
                         deadlines.pop(task_id, None)
                         obs.absorb(obs_payload)
-                        outcome = outcomes[0]
-                        if outcome[0] == "ok":
-                            resolve(node, outcome[1], where="pool",
-                                    attempts=1, elapsed=outcome[2])
-                        else:
-                            self.metrics.worker_failures += 1
-                            run_serial_node(node, attempts_used=1)
+                        for node, outcome in zip(chunk, outcomes):
+                            if outcome[0] == "ok":
+                                resolve(node, outcome[1], where="pool",
+                                        attempts=1, elapsed=outcome[2])
+                            else:
+                                self.metrics.worker_failures += 1
+                                run_serial_node(node, attempts_used=1)
             if broken is not None:
                 self.metrics.worker_failures += 1
                 self._degrade(str(broken))
                 use_parallel = False
-                for node in outstanding.values():
-                    node.status = PENDING
-                    ready.append(node)
+                for chunk in outstanding.values():
+                    for node in chunk:
+                        node.status = PENDING
+                        ready.append(node)
                 outstanding.clear()
                 deadlines.clear()
-
-    # -- serial path ---------------------------------------------------
-
-    def _run_serial(self, jobs, indices, results, attempts_used=0):
-        for index in indices:
-            self._check_cancelled()
-            results[index] = self._attempt_until_done(
-                jobs[index], attempts_used
-            )
 
     def _attempt_until_done(self, job, attempts_used=0):
         attempt = attempts_used
@@ -683,113 +624,6 @@ class Engine:
             pass
         raise EngineJobError(job.label, attempt, last_error)
 
-    # -- parallel path -------------------------------------------------
-
-    def _run_parallel(self, jobs, indices, results, keys):
-        try:
-            executor = self._ensure_executor()
-        except Exception as exc:
-            self._degrade(f"could not start executor: {exc}")
-            self._run_serial(jobs, indices, results)
-            return
-
-        workers = max(1, executor.workers or self.jobs)
-        chunk_size = self.chunk_size or executor.preferred_chunk_size(
-            len(indices), min(workers, len(indices))
-        )
-        chunks = [
-            indices[start:start + chunk_size]
-            for start in range(0, len(indices), chunk_size)
-        ]
-        retry_serial = []   # indices that failed once in a worker
-        leftover = []       # indices never run because workers died
-
-        obs_ctx = obs.worker_context()
-        self._run_seq += 1
-        prefix = f"r{self._run_seq}"
-        outstanding = {}
-        deadlines = {}
-        for position, chunk in enumerate(chunks):
-            payload = [
-                self._payload_entry(jobs[i], keys[i], executor)
-                for i in chunk
-            ]
-            task_id = f"{prefix}:{position}"
-            try:
-                executor.submit(task_id, payload, obs_ctx)
-            except ExecutorBroken as exc:
-                self.metrics.worker_failures += 1
-                self._degrade(str(exc))
-                leftover.extend(chunk)
-                for later in chunks[position + 1:]:
-                    leftover.extend(later)
-                break
-            outstanding[task_id] = chunk
-            if self.timeout:
-                deadlines[task_id] = (
-                    time.monotonic() + self.timeout * len(chunk)
-                )
-
-        while outstanding:
-            self._check_cancelled()
-            try:
-                item = executor.next_result(_CANCEL_POLL_S)
-            except ExecutorBroken as exc:
-                self.metrics.worker_failures += 1
-                self._degrade(str(exc))
-                for task_id in list(outstanding):
-                    leftover.extend(outstanding.pop(task_id))
-                break
-            now = time.monotonic()
-            expired = [
-                task_id for task_id, deadline in deadlines.items()
-                if task_id in outstanding and deadline < now
-            ]
-            if expired:
-                self.metrics.worker_failures += 1
-                self._degrade(
-                    f"timeout waiting on {len(expired)} chunk(s)"
-                )
-                for task_id in list(outstanding):
-                    leftover.extend(outstanding.pop(task_id))
-                break
-            if item is None:
-                continue
-            task_id, outcomes, obs_payload = item
-            chunk = outstanding.pop(task_id, None)
-            if chunk is None:
-                continue  # stale result from an abandoned run
-            deadlines.pop(task_id, None)
-            obs.absorb(obs_payload)
-            for index, outcome in zip(chunk, outcomes):
-                if outcome[0] == "ok":
-                    results[index] = outcome[1]
-                    self.metrics.jobs_completed += 1
-                    self.hooks.emit("job_done", {
-                        "label": jobs[index].label,
-                        "fn": _fn_name(jobs[index]),
-                        "status": "completed", "attempts": 1,
-                        "elapsed_s": outcome[2], "where": "pool",
-                    })
-                else:
-                    self.metrics.worker_failures += 1
-                    retry_serial.append(index)
-
-        if leftover:
-            self._run_serial(jobs, leftover, results)
-        if retry_serial:
-            # One attempt already happened in the worker.
-            self._run_serial(jobs, retry_serial, results,
-                             attempts_used=1)
-
-    def _payload_entry(self, job, key, executor):
-        if key is None and executor.wants_cache_keys and job.cached:
-            try:
-                key = job_cache_key(job)
-            except TypeError:
-                key = None
-        return (job.fn, dict(job.params), job.seed, job.label, key)
-
     def _degrade(self, reason):
         self.metrics.degraded = True
         self.hooks.emit("degraded", {"reason": reason})
@@ -800,10 +634,3 @@ def _fn_name(job):
 
     return function_identity(job.fn)[0]
 
-
-# Re-exported for callers that sized pools off the old helper.
-def _default_pool_factory(workers):
-    from repro.engine.executors.local import (
-        _default_pool_factory as factory,
-    )
-    return factory(workers)

@@ -140,10 +140,8 @@ def dump(reason, context=None, root=None):
     directory = flight_dir(root)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f"{name}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
+        with _state.atomic_write(directory / name) as handle:
             json.dump(document, handle, indent=2, default=str)
-        os.replace(tmp, directory / name)
     except OSError as exc:
         _state._note_write_failure(f"{FLIGHT_DIRNAME}/{name}", exc)
         return None

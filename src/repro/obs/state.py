@@ -18,8 +18,10 @@ Every writer here swallows ``OSError``: observability must never take
 an experiment down with it.
 """
 
+import contextlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 #: Environment override for the state root directory.
@@ -81,15 +83,41 @@ def _note_write_failure(name, exc):
         pass
 
 
+#: The process umask, read once at import (reading it means setting
+#: it, which is not thread-safe), so atomically written files get the
+#: same permissions a plain ``open(path, "w")`` would give them.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Write ``path`` all-or-nothing: yields a handle on a unique
+    temporary file in the same directory, which replaces ``path`` when
+    the block exits cleanly.  On any exception the temporary file is
+    removed and the exception re-raised, so concurrent writers (threads
+    included) never share a temp path and a failed write leaves
+    ``path`` as it was."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.tmp.")
+    try:
+        os.fchmod(fd, 0o666 & ~_UMASK)
+        with os.fdopen(fd, mode) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_json(name, payload, root=None):
     """Atomically write one JSON document; returns True on success."""
     directory = state_dir(root)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f"{name}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
+        with atomic_write(directory / name) as handle:
             json.dump(payload, handle, indent=2, default=str)
-        os.replace(tmp, directory / name)
     except OSError as exc:
         _note_write_failure(name, exc)
         return False
@@ -110,11 +138,9 @@ def write_jsonl(name, records, root=None):
     directory = state_dir(root)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f"{name}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
+        with atomic_write(directory / name) as handle:
             for record in records:
                 handle.write(json.dumps(record, default=str) + "\n")
-        os.replace(tmp, directory / name)
     except OSError as exc:
         _note_write_failure(name, exc)
         return False

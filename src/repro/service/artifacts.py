@@ -18,8 +18,9 @@ Layout: ``<cache root>/artifacts/<digest[:2]>/<digest>`` plus a
 
 import hashlib
 import json
-import os
 from pathlib import Path
+
+from repro.obs.state import atomic_write
 
 #: Subdirectory of the engine cache root holding artifacts.  The engine
 #: GC only touches ``*.pkl`` entries, so artifacts survive a cache GC
@@ -53,14 +54,10 @@ class ArtifactStore:
         if data_path.exists():
             return descriptor
         data_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = data_path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as handle:
+        with atomic_write(data_path, "wb") as handle:
             handle.write(data)
-        os.replace(tmp, data_path)
-        meta_tmp = meta_path.with_suffix(f".tmp.{os.getpid()}")
-        with open(meta_tmp, "w") as handle:
+        with atomic_write(meta_path) as handle:
             json.dump(descriptor, handle, indent=2)
-        os.replace(meta_tmp, meta_path)
         return descriptor
 
     def get(self, digest):

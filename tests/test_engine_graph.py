@@ -2,6 +2,7 @@
 
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.engine import (
     retry_delay_s,
     spawn_seeds,
 )
+from repro.engine.executors.base import Executor
 from repro.engine.graph import CANCELLED, DONE, FAILED
 
 #: Execution order observed by the serial graph jobs (jobs=1 keeps
@@ -265,6 +267,148 @@ class TestGraphParallel:
         parallel.close()
         assert serial_sink.result == parallel_sink.result == \
             1 + sum(2 * v for v in range(6))
+
+
+class RecordingExecutor(Executor):
+    """Runs each payload in-process on submit and records its labels;
+    entries labelled in ``fail_labels`` come back as ``err`` outcomes,
+    the way a job raising inside a pool worker does."""
+
+    name = "recording"
+
+    def __init__(self, fail_labels=()):
+        self.payloads = []
+        self.fail_labels = set(fail_labels)
+        self._finished = deque()
+
+    def start(self):
+        pass
+
+    def shutdown(self):
+        pass
+
+    def submit(self, task_id, payload, obs_ctx=None):
+        self.payloads.append([entry[3] for entry in payload])
+        outcomes = []
+        for fn, params, seed, label, _key in payload:
+            if label in self.fail_labels:
+                outcomes.append(("err", "RuntimeError: injected", ""))
+            else:
+                outcomes.append(("ok", fn(params, seed), 0.0))
+        self._finished.append((task_id, outcomes, None))
+
+    def next_result(self, timeout):
+        return self._finished.popleft() if self._finished else None
+
+
+def _where_by_label(engine):
+    """Record each completed job's ``where`` from the engine hooks."""
+    where = {}
+
+    def hook(event, payload):
+        if event == "job_done":
+            where[payload["label"]] = payload["where"]
+
+    engine.hooks.add(hook)
+    return where
+
+
+class TestChunkedDispatch:
+    def test_independent_nodes_are_chunked(self):
+        executor = RecordingExecutor()
+        engine = Engine(jobs=2, chunk_size=4, executor=executor)
+        for value in range(12):
+            engine.submit(Job(double_job, {"value": value},
+                              label=f"n{value}"))
+        assert engine.run_graph() == [2 * v for v in range(12)]
+        assert [len(p) for p in executor.payloads] == [4, 4, 4]
+
+    def test_run_uses_the_same_chunked_loop(self):
+        executor = RecordingExecutor()
+        engine = Engine(jobs=2, chunk_size=4, executor=executor)
+        jobs = [Job(double_job, {"value": value}) for value in range(12)]
+        assert engine.run(jobs) == [2 * v for v in range(12)]
+        assert [len(p) for p in executor.payloads] == [4, 4, 4]
+
+    def test_dependency_chain_dispatches_one_node_per_wave(self):
+        executor = RecordingExecutor()
+        engine = Engine(jobs=2, chunk_size=4, executor=executor)
+        node = engine.submit(Job(double_job, {"value": 1}, label="c0"))
+        for index in range(1, 4):
+            node = engine.submit(Job(double_job, {}, label=f"c{index}"),
+                                 deps={"value": node})
+        engine.run_graph()
+        assert node.result == 16
+        assert executor.payloads == [["c0"], ["c1"], ["c2"], ["c3"]]
+
+    def test_failed_job_in_a_chunk_retries_alone(self):
+        executor = RecordingExecutor(fail_labels={"n1"})
+        engine = Engine(jobs=2, chunk_size=3, executor=executor)
+        where = _where_by_label(engine)
+        nodes = [
+            engine.submit(Job(double_job, {"value": value},
+                              label=f"n{value}"))
+            for value in range(3)
+        ]
+        assert engine.run_graph() == [0, 2, 4]
+        assert executor.payloads == [["n0", "n1", "n2"]]
+        assert where == {"n0": "pool", "n1": "serial", "n2": "pool"}
+        assert engine.metrics.worker_failures == 1
+        assert all(node.status == DONE for node in nodes)
+
+    def test_single_node_left_runs_inline(self, tmp_path):
+        executor = RecordingExecutor()
+        engine = Engine(jobs=2, cache=tmp_path, executor=executor)
+        engine.run([Job(double_job, {"value": 1})])
+        engine.run([Job(double_job, {"value": value})
+                    for value in (1, 2)])
+        assert executor.payloads == []
+
+
+class TestRunAndGraphShareOneLoop:
+    def setup_method(self):
+        _ORDER.clear()
+
+    def test_run_leaves_submitted_nodes_for_run_graph(self):
+        engine = Engine(jobs=1)
+        pending = engine.submit(Job(record_job, {"name": "queued"}))
+        assert engine.run([Job(record_job, {"name": "direct"})]) == \
+            ["direct"]
+        assert _ORDER == ["direct"]
+        assert engine.run_graph() == ["queued"]
+        assert pending.status == DONE
+        assert _ORDER == ["direct", "queued"]
+
+    @staticmethod
+    def _jobs():
+        return [Job(double_job, {"value": value}, seed=child)
+                for value, child in enumerate(spawn_seeds(3, 4))]
+
+    def test_cache_written_by_run_hits_run_graph(self, tmp_path):
+        cold = Engine(jobs=1, cache=tmp_path)
+        expected = cold.run(self._jobs())
+        warm = Engine(jobs=1, cache=tmp_path)
+        for job in self._jobs():
+            warm.submit(job)
+        assert warm.run_graph() == expected
+        assert warm.metrics.cache_hits == 4
+        assert warm.metrics.cache_misses == 0
+
+    def test_cache_written_by_run_graph_hits_run(self, tmp_path):
+        cold = Engine(jobs=1, cache=tmp_path)
+        for job in self._jobs():
+            cold.submit(job)
+        expected = cold.run_graph()
+        warm = Engine(jobs=1, cache=tmp_path)
+        assert warm.run(self._jobs()) == expected
+        assert warm.metrics.cache_hits == 4
+        assert warm.metrics.cache_misses == 0
+
+    def test_unkeyable_params_run_uncached(self, tmp_path):
+        engine = Engine(jobs=1, cache=tmp_path)
+        job = Job(add_job, {"base": 1, "inputs": [2], "tag": object()})
+        assert engine.run([job]) == [3]
+        assert engine.cache.stats()["entries"] == 0
 
 
 class TestRetryJitter:
