@@ -29,6 +29,8 @@ from repro.service import (
     AsyncServiceClient,
     ServiceClient,
     ServiceConfig,
+    Tenant,
+    TenantRegistry,
     start_in_thread,
 )
 
@@ -138,7 +140,14 @@ class TestServiceThroughput:
     def test_warm_single_request_bench(self, benchmark, tmp_path):
         """Steady-state cost of one warm submit->wait round trip."""
         cache = ResultCache(tmp_path / "cache")
-        handle = start_in_thread(ServiceConfig(port=0, cache=cache))
+        # A warm round trip is one request of a few ms, so the rounds
+        # outrun the dev tenant's 10 submissions/s; the limiter is not
+        # what this measures.
+        tenants = TenantRegistry([Tenant(
+            name="dev", key=DEV_TENANT_KEY, rate=10_000.0, burst=10_000,
+        )])
+        handle = start_in_thread(ServiceConfig(port=0, cache=cache,
+                                               tenants=tenants))
         try:
             client = ServiceClient(handle.base_url, DEV_TENANT_KEY)
             params = _params(KERNELS[0])

@@ -875,14 +875,14 @@ def cmd_client(args):
             return 0
         if action == "submit":
             params = _parse_client_params(args.param)
-            document = client.submit(
-                args.type, params,
-                traceparent=getattr(args, "traceparent", None),
-            )
+            traceparent = getattr(args, "traceparent", None)
             if args.wait:
-                document = client.wait(
-                    document["id"], timeout=args.timeout
-                )
+                document = client.run(args.type, params,
+                                      timeout=args.timeout,
+                                      traceparent=traceparent)
+            else:
+                document = client.submit(args.type, params,
+                                         traceparent=traceparent)
             print(json_module.dumps(document, indent=2))
             return 0 if document["status"] in ("queued", "running",
                                               "completed") else 1
@@ -1283,7 +1283,7 @@ def build_parser():
                    help="job parameter; value parsed as JSON, bare "
                         "strings allowed (repeatable)")
     k.add_argument("--wait", action="store_true",
-                   help="poll until the job finishes and print the "
+                   help="wait until the job finishes and print the "
                         "final document")
     k.add_argument("--traceparent", default=None, metavar="HEADER",
                    help="propagate a W3C traceparent (default: the "

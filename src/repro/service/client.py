@@ -7,13 +7,20 @@ smoke test use -- plain :mod:`http.client`, one connection per call
 :class:`AsyncServiceClient` is the asyncio twin used by the service
 benchmark to hold many requests in flight from one thread; it speaks
 the same minimal HTTP/1.1 the server does, over ``asyncio`` streams.
+
+Both wait for a job by long-polling: ``submit`` and ``status`` take a
+``wait`` in seconds, which the server spends parked until the job is
+terminal.  ``run`` therefore answers any job that ends within one wait
+slice (half the client's request timeout, capped by the server at
+30 s) in a single request -- a warm cache hit always -- and adds one
+status request per further slice.
 """
 
 import asyncio
 import http.client
 import json
 import time
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urlsplit
 
 from repro.service.state import TERMINAL
 
@@ -27,6 +34,22 @@ class ServiceApiError(RuntimeError):
         self.code = code
         self.message = message
         self.retry_after = retry_after
+
+
+def _wait_query(wait):
+    return "?" + urlencode({"wait": wait}) if wait > 0 else ""
+
+
+def _wait_slice(remaining, request_timeout):
+    """Seconds one long-poll may park: the time left, and at most half
+    the client's request timeout, so the reply lands before that."""
+    return max(0.0, min(remaining, request_timeout / 2))
+
+
+def _timed_out(job_id, document, timeout):
+    return TimeoutError(
+        f"job {job_id} still {document['status']} after {timeout:g}s"
+    )
 
 
 def _raise_for(status, headers, body):
@@ -97,21 +120,24 @@ class ServiceClient:
         """Per-tenant SLO report (``GET /v1/slo``)."""
         return self._request("GET", "/v1/slo")
 
-    def submit(self, jobtype, params=None, traceparent=None):
+    def submit(self, jobtype, params=None, traceparent=None, wait=0.0):
         """Submit a job; returns the job document (with ``id``).
 
         ``traceparent`` propagates a caller-side W3C trace context;
-        without one the service mints a fresh trace per job.
+        without one the service mints a fresh trace per job.  With
+        ``wait`` the reply comes once the job is terminal or ``wait``
+        seconds have passed, whichever is first.
         """
         headers = {"traceparent": traceparent} if traceparent else None
         return self._request(
-            "POST", "/v1/jobs",
+            "POST", "/v1/jobs" + _wait_query(wait),
             {"type": jobtype, "params": params or {}},
             headers=headers,
         )
 
-    def status(self, job_id):
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def status(self, job_id, wait=0.0):
+        """The job document; ``wait`` long-polls as in :meth:`submit`."""
+        return self._request("GET", f"/v1/jobs/{job_id}{_wait_query(wait)}")
 
     def trace(self, job_id, format="tree"):
         """The job's span tree (``format="chrome"`` for trace_event)."""
@@ -171,24 +197,27 @@ class ServiceClient:
         finally:
             connection.close()
 
-    def wait(self, job_id, timeout=300.0, poll_s=0.2):
-        """Poll until the job is terminal; returns the final document."""
+    def wait(self, job_id, timeout=300.0, document=None):
+        """Long-poll until the job is terminal; returns the final
+        document.  ``document`` is one already in hand (a waited
+        submit's reply), which saves a request when it is terminal."""
         deadline = time.monotonic() + timeout
-        while True:
-            document = self.status(job_id)
-            if document["status"] in TERMINAL:
-                return document
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {document['status']} "
-                    f"after {timeout:g}s"
-                )
-            time.sleep(poll_s)
+        while document is None or document["status"] not in TERMINAL:
+            remaining = deadline - time.monotonic()
+            if document is not None and remaining <= 0:
+                raise _timed_out(job_id, document, timeout)
+            document = self.status(
+                job_id, wait=_wait_slice(remaining, self.timeout))
+        return document
 
-    def run(self, jobtype, params=None, timeout=300.0):
-        """Submit and wait; returns the completed job document."""
-        return self.wait(self.submit(jobtype, params)["id"],
-                         timeout=timeout)
+    def run(self, jobtype, params=None, timeout=300.0, traceparent=None):
+        """Submit and wait; returns the terminal job document."""
+        deadline = time.monotonic() + timeout
+        document = self.submit(jobtype, params, traceparent=traceparent,
+                               wait=_wait_slice(timeout, self.timeout))
+        return self.wait(document["id"],
+                         timeout=deadline - time.monotonic(),
+                         document=document)
 
 
 class AsyncServiceClient:
@@ -245,28 +274,30 @@ class AsyncServiceClient:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def submit(self, jobtype, params=None):
+    async def submit(self, jobtype, params=None, wait=0.0):
         return await self._request(
-            "POST", "/v1/jobs",
+            "POST", "/v1/jobs" + _wait_query(wait),
             {"type": jobtype, "params": params or {}},
         )
 
-    async def status(self, job_id):
-        return await self._request("GET", f"/v1/jobs/{job_id}")
+    async def status(self, job_id, wait=0.0):
+        return await self._request(
+            "GET", f"/v1/jobs/{job_id}{_wait_query(wait)}")
 
-    async def wait(self, job_id, timeout=300.0, poll_s=0.1):
+    async def wait(self, job_id, timeout=300.0, document=None):
         deadline = time.monotonic() + timeout
-        while True:
-            document = await self.status(job_id)
-            if document["status"] in TERMINAL:
-                return document
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {document['status']} "
-                    f"after {timeout:g}s"
-                )
-            await asyncio.sleep(poll_s)
+        while document is None or document["status"] not in TERMINAL:
+            remaining = deadline - time.monotonic()
+            if document is not None and remaining <= 0:
+                raise _timed_out(job_id, document, timeout)
+            document = await self.status(
+                job_id, wait=_wait_slice(remaining, self.timeout))
+        return document
 
     async def run(self, jobtype, params=None, timeout=300.0):
-        document = await self.submit(jobtype, params)
-        return await self.wait(document["id"], timeout=timeout)
+        deadline = time.monotonic() + timeout
+        document = await self.submit(
+            jobtype, params, wait=_wait_slice(timeout, self.timeout))
+        return await self.wait(document["id"],
+                               timeout=deadline - time.monotonic(),
+                               document=document)

@@ -18,11 +18,14 @@ Two layers, both in this module because they ship as one unit:
     long-poll streaming for ``/v1/jobs/{id}/events``.  No third-party
     web framework; the whole protocol surface is in this file.
 
-The event-stream thread model: executor threads run jobs (and the
-engine hooks fire in those same threads, because ``Engine.run`` is
-called there); the asyncio thread serves sockets and never blocks on
-job state except through ``run_in_executor`` on the *default* loop
-executor -- never on the job pool, which would deadlock a full queue.
+The thread model: executor threads run jobs (and the engine hooks fire
+in those same threads, because ``Engine.run`` is called there); the
+asyncio thread serves sockets and never blocks on job state.  A
+``?wait=S`` long-poll parks its request on an asyncio future that the
+job thread resolves through ``loop.call_soon_threadsafe`` when the job
+goes terminal; the ``/events`` stream reads the event log through
+``run_in_executor`` on the *default* loop executor -- never on the job
+pool, which would deadlock a full queue.
 """
 
 import asyncio
@@ -68,6 +71,9 @@ MAX_BODY_BYTES = 256 * 1024
 #: How long one ``/events`` long-poll slice blocks before re-checking
 #: for client disconnect / service shutdown.
 EVENT_POLL_S = 1.0
+
+#: Longest ``?wait=S`` a submit or status request may park for.
+MAX_WAIT_S = 30.0
 
 
 class ServiceError(Exception):
@@ -323,7 +329,6 @@ class JobService:
             if record.trace_id is not None:
                 harvested = obs_spans.drain_trace(record.trace_id)
                 record.spans = harvested[:self.config.max_trace_spans]
-            record.set_status(status)
             wall_s = (record.finished - record.started
                       if record.started else 0.0)
             self.slo.account_job(
@@ -343,6 +348,9 @@ class JobService:
                 registry.histogram(
                     "service_job_seconds", "Job wall time",
                 ).observe(wall_s)
+            # Last, so whoever the terminal state wakes sees the job
+            # fully accounted.
+            record.set_status(status)
 
     def cancel(self, record):
         """Request cancellation; returns the record (idempotent)."""
@@ -435,7 +443,8 @@ _STATUS_TEXT = {
 
 
 class _Request:
-    __slots__ = ("method", "path", "query", "headers", "body", "tenant")
+    __slots__ = ("method", "path", "query", "headers", "body", "tenant",
+                 "parked_s")
 
     def __init__(self, method, path, query, headers, body):
         self.method = method
@@ -444,6 +453,8 @@ class _Request:
         self.headers = headers
         self.body = body
         self.tenant = None
+        #: Seconds spent parked in a ``?wait=S`` long-poll.
+        self.parked_s = 0.0
 
     def json(self):
         if not self.body:
@@ -494,13 +505,17 @@ class ServiceServer:
         set, then drain gracefully and close."""
         if stop_event is None:
             stop_event = asyncio.Event()
-        async with self._server:
-            await stop_event.wait()
+        await stop_event.wait()
+        # Stop accepting, then drain: parked long-polls are answered as
+        # their jobs finish or get cancelled, before connections are
+        # awaited.
+        self._server.close()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, self.service.drain,
             self.service.config.drain_grace_s,
         )
+        await self._server.wait_closed()
         self.service.close(grace_s=0.0)
 
     # -- request plumbing ----------------------------------------------
@@ -542,8 +557,11 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
-            elapsed = time.perf_counter() - started
             if request is not None:
+                # Parked long-poll time is job time, which account_job
+                # already charges; it is not request latency.
+                elapsed = (time.perf_counter() - started
+                           - request.parked_s)
                 tenant_name = (request.tenant.name
                                if request.tenant is not None else None)
                 self.service.slo.observe_request(
@@ -680,6 +698,7 @@ class ServiceServer:
         raise ServiceError(404, "not_found", f"no such route {path!r}")
 
     async def _route_submit(self, request, writer):
+        wait_s = self._wait_s(request)
         document = request.json()
         if not isinstance(document, dict) or "type" not in document:
             raise ServiceError(
@@ -695,8 +714,53 @@ class ServiceServer:
         except ValidationError as exc:
             raise ServiceError(400, "invalid_params", str(exc)) \
                 from None
-        await self._send_json(writer, 202, record.to_doc())
-        return "submit", 202
+        await self._await_terminal(request, record, wait_s)
+        status = 200 if record.terminal else 202
+        await self._send_json(writer, status, record.to_doc())
+        return "submit", status
+
+    @staticmethod
+    def _wait_s(request):
+        """The request's ``?wait=S`` in seconds, capped at
+        :data:`MAX_WAIT_S` (0 without one)."""
+        raw = request.query.get("wait")
+        if raw is None:
+            return 0.0
+        try:
+            wait_s = float(raw)
+            if not wait_s >= 0.0:   # negative or NaN
+                raise ValueError(raw)
+        except ValueError:
+            raise ServiceError(
+                400, "bad_request",
+                "wait must be a non-negative number of seconds",
+            ) from None
+        return min(wait_s, MAX_WAIT_S)
+
+    async def _await_terminal(self, request, record, wait_s):
+        """Park until ``record`` is terminal or ``wait_s`` passes,
+        charging the time to ``request.parked_s``.  The job thread that
+        ends the job wakes the loop; nothing here polls or sleeps."""
+        if wait_s <= 0 or record.terminal:
+            return
+        loop = asyncio.get_running_loop()
+        woken = loop.create_future()
+
+        def wake():
+            try:
+                loop.call_soon_threadsafe(_settle, woken)
+            except RuntimeError:
+                pass  # the loop is closed: nobody is parked any more
+
+        started = time.perf_counter()
+        record.on_terminal(wake)
+        try:
+            await asyncio.wait_for(woken, wait_s)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            record.discard_terminal_callback(wake)
+            request.parked_s += time.perf_counter() - started
 
     def _record_or_404(self, request, job_id):
         record = self.service.store.get(
@@ -711,7 +775,9 @@ class ServiceServer:
         tail = request.path[len("/v1/jobs/"):]
         job_id, _, action = tail.partition("/")
         if not action and request.method == "GET":
+            wait_s = self._wait_s(request)
             record = self._record_or_404(request, job_id)
+            await self._await_terminal(request, record, wait_s)
             await self._send_json(writer, 200, record.to_doc())
             return "job_get", 200
         if action == "cancel" and request.method == "POST":
@@ -740,7 +806,7 @@ class ServiceServer:
                 f"job {record.id!r} carries no trace "
                 "(service tracing is disabled)",
             )
-        spans = list(record.spans)
+        spans = record.spans
         fmt = request.query.get("format", "tree")
         if fmt == "chrome":
             await self._send_json(
@@ -808,6 +874,11 @@ class ServiceServer:
             data,
         )
         return "artifact", 200
+
+
+def _settle(future):
+    if not future.done():
+        future.set_result(None)
 
 
 # ----------------------------------------------------------------------

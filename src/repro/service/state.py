@@ -5,6 +5,9 @@ parameters, lifecycle status, per-job event log (what the ``/events``
 endpoint streams), result document, and artifact listing.  Records are
 mutated from executor threads and read from the asyncio serving thread,
 so every mutable field goes through the record's condition variable.
+Reaching a terminal state also fires the record's terminal callbacks,
+which is how a long-polling request on the serving loop is woken
+without a thread of its own.
 
 The :class:`JobStore` is deliberately in-memory: job state is cheap to
 recompute (the *results* live in the content-addressed engine cache,
@@ -12,9 +15,11 @@ which is durable), and a restarted service serving a resubmitted job
 answers it straight from that cache.
 """
 
+import json
 import threading
 import time
 import uuid
+import zlib
 from collections import OrderedDict
 
 QUEUED = "queued"
@@ -55,10 +60,30 @@ class JobRecord:
         self.parent_span_id = None
         self.traceparent = None
         #: Finished span records harvested when the job went terminal
-        #: (the ``GET /v1/jobs/{id}/trace`` payload).
-        self.spans = []
+        #: (the ``GET /v1/jobs/{id}/trace`` payload), kept compressed.
+        self._spans_blob = b""
         self._events = []
+        self._terminal_callbacks = []
         self._cond = threading.Condition()
+
+    # -- spans ---------------------------------------------------------
+
+    @property
+    def spans(self):
+        """The harvested span records (decoded on every read)."""
+        if not self._spans_blob:
+            return []
+        return json.loads(zlib.decompress(self._spans_blob))
+
+    @spans.setter
+    def spans(self, spans):
+        # A finished job can sit in the store for thousands of jobs, so
+        # its spans are kept as compressed JSON (~1/16 the size of the
+        # live dicts).  ``default=repr`` keeps an attr JSON cannot
+        # encode from failing the job that recorded it.
+        self._spans_blob = zlib.compress(json.dumps(
+            spans, default=repr, separators=(",", ":"),
+        ).encode("utf-8")) if spans else b""
 
     # -- events --------------------------------------------------------
 
@@ -96,9 +121,32 @@ class JobRecord:
         return self.status in TERMINAL
 
     def set_status(self, status):
+        """Move to ``status``; a terminal one fires every registered
+        terminal callback once, outside the lock, in this thread."""
+        callbacks = ()
         with self._cond:
             self.status = status
             self._cond.notify_all()
+            if status in TERMINAL:
+                callbacks = self._terminal_callbacks
+                self._terminal_callbacks = []
+        for callback in callbacks:
+            callback()
+
+    def on_terminal(self, callback):
+        """Call ``callback()`` once the job is terminal: at once (in
+        this thread) when it already is, else from :meth:`set_status`."""
+        with self._cond:
+            if self.status not in TERMINAL:
+                self._terminal_callbacks.append(callback)
+                return
+        callback()
+
+    def discard_terminal_callback(self, callback):
+        """Unregister ``callback`` (a no-op once it has fired)."""
+        with self._cond:
+            if callback in self._terminal_callbacks:
+                self._terminal_callbacks.remove(callback)
 
     # -- serialization -------------------------------------------------
 

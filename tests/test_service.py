@@ -6,7 +6,10 @@ talks to it with the bundled clients -- the same path ``repro client``
 and the CI smoke job use.
 """
 
+import asyncio
 import http.client
+import json
+import threading
 import time
 
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from repro import obs
 from repro.engine import EngineCancelled
 from repro.obs import flight as obs_flight
+from repro.obs import spans as obs_spans
 from repro.obs import state as obs_state
 from repro.service import (
     CANCELLED,
@@ -31,10 +35,11 @@ from repro.service import (
     start_in_thread,
 )
 from repro.service import jobs as service_jobs
+from repro.service import server as service_server
 from repro.service.artifacts import ArtifactStore
 from repro.service.jobs import validate_params
 from repro.service.slo import SloMeter, outcome_class
-from repro.service.state import JobRecord
+from repro.service.state import RUNNING, JobRecord
 from repro.service.top import render_dashboard
 
 KERNEL_PARAMS = {"kernel": "Parity Check", "transactions": 3}
@@ -344,6 +349,191 @@ class TestDrain:
         assert final["status"] == CANCELLED
 
 
+def _raw(handle, method, path, key="alice-key", document=None):
+    """One request without the bundled client: (HTTP status, JSON)."""
+    connection = http.client.HTTPConnection(
+        "127.0.0.1", handle.server.port, timeout=60)
+    try:
+        body = json.dumps(document) if document is not None else None
+        connection.request(method, path, body=body, headers={
+            "Authorization": f"Bearer {key}",
+            "Content-Type": "application/json",
+        })
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestLongPoll:
+    """``?wait=S`` on submit and status: park until terminal."""
+
+    def test_waited_submit_of_warm_hit_is_one_request(self, handle,
+                                                      alice):
+        cold = alice.run("kernel_run", KERNEL_PARAMS)
+        assert cold["cache_hit"] is False
+        status, doc = _raw(handle, "POST", "/v1/jobs?wait=5", document={
+            "type": "kernel_run", "params": KERNEL_PARAMS,
+        })
+        assert status == 200
+        assert doc["status"] == COMPLETED
+        assert doc["cache_hit"] is True
+        assert doc["result"] == cold["result"]
+
+    def test_waited_status_returns_at_completion(self, alice):
+        doc = alice.submit("sleep_test", {"seconds": 0.3})
+        started = time.monotonic()
+        final = alice.status(doc["id"], wait=5)
+        elapsed = time.monotonic() - started
+        assert final["status"] == COMPLETED
+        assert final["result"] == {"slept": 0.3}
+        assert elapsed < 0.3 + 1.5     # woken by the job, not at 5 s
+
+    def test_waited_status_times_out_with_the_live_document(self,
+                                                            alice):
+        doc = alice.submit("sleep_test", {"seconds": 2.0})
+        started = time.monotonic()
+        live = alice.status(doc["id"], wait=0.2)
+        elapsed = time.monotonic() - started
+        assert live["status"] == RUNNING
+        assert "result" not in live
+        assert 0.2 <= elapsed < 1.5
+        alice.cancel(doc["id"])
+
+    def test_bad_wait_is_400(self, handle, alice):
+        doc = alice.submit("sleep_test", {"seconds": 0.01})
+        for wait in ("abc", "-1", "nan"):
+            status, body = _raw(handle, "GET",
+                                f"/v1/jobs/{doc['id']}?wait={wait}")
+            assert status == 400, wait
+            assert body["error"] == "bad_request"
+            status, body = _raw(handle, "POST", f"/v1/jobs?wait={wait}",
+                                document={"type": "sleep_test"})
+            assert status == 400, wait
+        alice.wait(doc["id"], timeout=30)
+
+    def test_huge_wait_is_capped_and_unfinished_submit_is_202(
+            self, handle, monkeypatch):
+        monkeypatch.setattr(service_server, "MAX_WAIT_S", 0.3)
+        started = time.monotonic()
+        status, doc = _raw(handle, "POST", "/v1/jobs?wait=1e9", document={
+            "type": "sleep_test", "params": {"seconds": 2.0},
+        })
+        assert status == 202
+        assert doc["status"] == RUNNING
+        assert 0.3 <= time.monotonic() - started < 1.5
+        started = time.monotonic()
+        status, live = _raw(handle, "GET", f"/v1/jobs/{doc['id']}?wait=1e9")
+        assert status == 200
+        assert live["status"] == RUNNING
+        assert 0.3 <= time.monotonic() - started < 1.5
+        _raw(handle, "POST", f"/v1/jobs/{doc['id']}/cancel")
+
+    def test_cancelling_a_queued_job_wakes_its_waiter(self, tmp_path):
+        handle = start_in_thread(ServiceConfig(
+            port=0, cache=str(tmp_path / "wake-cache"),
+            tenants=_registry(), max_running=1, max_queued=2,
+        ))
+        try:
+            alice = ServiceClient(handle.base_url, "alice-key")
+            running = alice.submit("sleep_test", {"seconds": 5.0})
+            queued = alice.submit("sleep_test", {"seconds": 5.0})
+            replies = []
+            waiter = threading.Thread(target=lambda: replies.append(
+                alice.status(queued["id"], wait=10)))
+            started = time.monotonic()
+            waiter.start()
+            time.sleep(0.2)
+            alice.cancel(queued["id"])
+            waiter.join(timeout=30)
+            assert not waiter.is_alive()
+            assert replies[0]["status"] == CANCELLED
+            assert time.monotonic() - started < 3.0
+            alice.cancel(running["id"])
+        finally:
+            handle.stop()
+
+    def test_job_ending_after_the_loop_closed_does_not_raise(self):
+        record = JobRecord("alice", "sleep_test", {})
+        server = service_server.ServiceServer(None, host="127.0.0.1",
+                                              port=0)
+        request = service_server._Request("GET", "/v1/jobs/x", {}, {},
+                                          b"")
+        loop = asyncio.new_event_loop()
+        parked = loop.create_task(
+            server._await_terminal(request, record, 30))
+        loop.run_until_complete(asyncio.sleep(0.05))
+        assert not parked.done()
+        loop.close()
+        # The job thread's last step: its wake-up hits a closed loop.
+        record.set_status(COMPLETED)
+
+    def test_parked_time_is_not_request_latency(self, alice):
+        doc = alice.submit("sleep_test", {"seconds": 0.5})
+        final = alice.status(doc["id"], wait=5)
+        assert final["status"] == COMPLETED
+        report = alice.slo()["tenants"]["alice"]
+        assert report["requests"]["ok"] == 2
+        assert report["latency"]["p95_s"] < 0.1
+        assert report["usage"]["wall_seconds"] >= 0.5
+
+
+class TestTraceStorage:
+    """Finished jobs keep their spans compressed; the trace endpoint
+    serves them unchanged."""
+
+    @pytest.fixture()
+    def harvested(self, monkeypatch):
+        """Every span list the service harvests, keyed by trace id."""
+        captured = {}
+        drain = obs_spans.drain_trace
+
+        def capture(trace_id):
+            captured[trace_id] = drain(trace_id)
+            return captured[trace_id]
+
+        monkeypatch.setattr(obs_spans, "drain_trace", capture)
+        return captured
+
+    def test_trace_endpoint_serves_the_harvested_spans(
+            self, handle, alice, harvested):
+        doc = alice.run("yield_study", {
+            "core": "flexicore4", "wafers": 1, "seed": 5,
+        })
+        assert doc["status"] == COMPLETED
+        raw = harvested[doc["trace_id"]]
+        assert len(raw) > 1
+
+        def roundtrip(value):
+            return json.loads(json.dumps(value))
+
+        tree = alice.trace(doc["id"])
+        assert tree["spans"] == roundtrip(raw)
+        assert tree["tree"] == obs_spans.render_tree(raw)
+        assert alice.trace(doc["id"], format="chrome") == \
+            roundtrip(obs_spans.to_chrome(raw))
+        record = handle.service.store.get(doc["id"])
+        assert isinstance(record._spans_blob, bytes)
+        assert len(record._spans_blob) < len(json.dumps(raw))
+
+    def test_non_json_span_attr_still_completes(self, monkeypatch,
+                                                 alice):
+        drain = obs_spans.drain_trace
+
+        def with_odd_span(trace_id):
+            spans = drain(trace_id)
+            spans.append(dict(spans[0], name="odd",
+                              attrs={"blob": b"\x00", "set": {1}}))
+            return spans
+
+        monkeypatch.setattr(obs_spans, "drain_trace", with_odd_span)
+        doc = alice.run("sleep_test", {"seconds": 0.01}, timeout=10)
+        assert doc["status"] == COMPLETED
+        odd = [span for span in alice.trace(doc["id"])["spans"]
+               if span["name"] == "odd"]
+        assert odd[0]["attrs"] == {"blob": "b'\\x00'", "set": "{1}"}
+
+
 class TestUnits:
     def test_token_bucket(self):
         bucket = TokenBucket(rate=10.0, burst=2)
@@ -390,6 +580,31 @@ class TestUnits:
                     {"n": 1}, {"name": "x", "zzz": 0}, "not-a-dict"):
             with pytest.raises(ValidationError):
                 validate_params(schema, bad)
+
+    def test_terminal_callbacks_fire_once(self):
+        record = JobRecord("t", "sleep_test", {})
+        fired = []
+        record.on_terminal(lambda: fired.append("early"))
+        dropped = lambda: fired.append("dropped")   # noqa: E731
+        record.on_terminal(dropped)
+        record.discard_terminal_callback(dropped)
+        record.set_status(RUNNING)
+        assert fired == []
+        record.set_status(COMPLETED)
+        record.set_status(COMPLETED)
+        assert fired == ["early"]
+        # Registering on a terminal record calls back at once.
+        record.on_terminal(lambda: fired.append("late"))
+        assert fired == ["early", "late"]
+
+    def test_job_record_spans_round_trip(self):
+        record = JobRecord("t", "sleep_test", {})
+        assert record.spans == []
+        spans = [{"name": "a", "wall_s": 0.125, "attrs": {"n": 1}}]
+        record.spans = spans
+        assert record.spans == spans
+        record.spans = []
+        assert record.spans == []
 
     def test_job_store_evicts_only_terminal(self):
         store = JobStore(max_records=2)
@@ -594,7 +809,8 @@ class TestSlo:
             b = report["tenants"]["bob"]
 
             assert a["requests"]["server_error"] == 1
-            assert a["requests"]["ok"] >= 6      # submits + polls
+            # One long-polled submit per run: no status polls.
+            assert a["requests"]["ok"] == 3
             assert a["objective"]["availability"] == pytest.approx(
                 0.99)
             assert 0.0 < a["availability"] < 1.0
