@@ -298,8 +298,8 @@ def cmd_kernels(args):
           f"{'dynamic':>8} {'checked':>8}")
     for kernel in SUITE:
         inputs = kernel.generate_inputs(rng, args.transactions)
-        result = kernel.check(target, inputs)
         program = kernel.program(target)
+        result = kernel.check(target, inputs, program=program)
         print(f"{kernel.name:<16} {program.static_instructions:7d} "
               f"{program.size_bytes:6d} {len(program.pages):6d} "
               f"{result.stats.instructions:8d} {'OK':>8}")

@@ -25,7 +25,7 @@ from repro import obs
 from repro.dse.designs import ALL_DESIGNS, BASELINE, DesignPoint
 from repro.engine import Job, engine_or_default, job_function
 from repro.kernels.kernel import Target
-from repro.kernels.suite import SUITE
+from repro.kernels.suite import SUITE, get_kernel
 from repro.netlist.backend import default_backend, make_backend
 from repro.netlist.sta import FETCH_DELAY_UNITS, analyze
 from repro.sim import MicroArch, cycle_count, cycles_multicycle
@@ -44,6 +44,16 @@ DECODE_STAGE_FRACTION = 0.2
 #: there is "very limited opportunity for structure reuse" (Section 3.4),
 #: so the execute cycle still traverses most of the core.
 MC_STAGE_FRACTION = 0.8
+
+#: Designs whose netlist and STA report stay memoized per process.
+#: Above one ``search(budget=96)``'s 85 distinct designs, so a search
+#: keeps its hit rate; at ~154 KB a design, a long-lived service
+#: holds at most ~20 MB of netlists however many designs it scores.
+DESIGN_STATIC_CACHE = 128
+#: Kernel profiles memoized per process: every (ISA, kernel) pair of
+#: the default 1,542-genome space (257 ISAs x 7 kernels) at both
+#: search fidelities fits, in at most ~10 MB (~2.5 KB a profile).
+KERNEL_PROFILE_CACHE = 4096
 
 
 def period_units(report, microarch):
@@ -108,19 +118,42 @@ class DesignMetrics:
         return float(np.exp(np.mean(np.log(ratios))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DESIGN_STATIC_CACHE)
 def _design_static(design):
     netlist = design.build_netlist()
     report = analyze(netlist)
     return netlist, report
 
 
-def _run_kernel(kernel, target, transactions, seed, fastpath=None):
-    rng = np.random.default_rng(seed)
-    inputs = kernel.generate_inputs(rng, transactions)
-    result = kernel.check(target, inputs, fastpath=fastpath)
+@lru_cache(maxsize=KERNEL_PROFILE_CACHE)
+def _kernel_profile(isa_name, kernel_name, transactions, seed, fastpath):
+    """One golden-checked kernel run, reduced to what the cycle models
+    read: ``(static instructions, code bits, ExecStats)``.
+
+    Microarchitecture and bus width only change the cycle model applied
+    to this profile, so every design on one ISA shares it.  The key is
+    sound because ISAs are cached by name, the macro library is a pure
+    function of the ISA and the inputs are a pure function of ``(seed,
+    transactions)``.  A failed golden check raises, and ``lru_cache``
+    caches no exception.  Callers go through :func:`_run_kernel`, which
+    hands out a copy of the stats.
+    """
+    kernel = get_kernel(kernel_name)
+    target = Target.named(isa_name)
+    inputs = kernel.generate_inputs(np.random.default_rng(seed), transactions)
     program = kernel.program(target)
-    return program, result.stats
+    result = kernel.check(target, inputs, fastpath=fastpath, program=program)
+    return program.static_instructions, program.size_bits, result.stats
+
+
+def _run_kernel(kernel, target, transactions, seed, fastpath=None):
+    """``(static instructions, code bits, ExecStats)`` of ``kernel`` on
+    ``target``'s ISA, from the per-process memo; the stats are the
+    caller's own copy."""
+    static_instructions, code_bits, stats = _kernel_profile(
+        target.name, kernel.name, transactions, seed, fastpath,
+    )
+    return static_instructions, code_bits, stats.copy()
 
 
 def gate_level_check(design, backend=None, cycles=64, seed=2022):
@@ -251,7 +284,7 @@ def _evaluate_design(design, transactions, seed, vdd, bus_bits,
         and effective_bus < min_instr_bits
     )
     for kernel in SUITE:
-        program, stats = _run_kernel(
+        static_instructions, code_bits, stats = _run_kernel(
             kernel, target, transactions, seed, fastpath=fastpath,
         )
         if design.microarch == MicroArch.MULTICYCLE:
@@ -270,8 +303,8 @@ def _evaluate_design(design, transactions, seed, vdd, bus_bits,
         feasible = design_feasible
         time_s = cycles * period_s
         metrics.kernels[kernel.name] = KernelMetrics(
-            static_instructions=program.static_instructions,
-            code_bits=program.size_bits,
+            static_instructions=static_instructions,
+            code_bits=code_bits,
             dynamic_instructions=stats.instructions,
             cycles=cycles,
             time_s=time_s,

@@ -163,8 +163,9 @@ def _steady_state_cost(kernel, target, gen_fn, warm=6, measure=24,
     short_inputs = gen_fn(np.random.default_rng(seed), warm)
     long_inputs = gen_fn(np.random.default_rng(seed), warm + measure)
     assert long_inputs[:len(short_inputs)] == short_inputs
-    short = kernel.check(target, short_inputs)
-    long = kernel.check(target, long_inputs)
+    program = kernel.program(target)
+    short = kernel.check(target, short_inputs, program=program)
+    long = kernel.check(target, long_inputs, program=program)
     return (long.stats.instructions - short.stats.instructions) / measure
 
 

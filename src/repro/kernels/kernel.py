@@ -84,29 +84,37 @@ class Kernel:
     def generate_inputs(self, rng, transactions):
         return self.input_fn(rng, transactions)
 
-    def run(self, target, inputs, max_cycles=2_000_000, fastpath=None):
+    def run(self, target, inputs, max_cycles=2_000_000, fastpath=None,
+            program=None):
         """Assemble, simulate on ``inputs`` and return (result, outputs).
 
         The program is driven until it reads past the final sample (the
         idiomatic end for streaming kernels) or halts.  ``fastpath=False``
         forces the reference step loop (the default runs the predecoded
-        dispatch, which is bit-identical).
+        dispatch, which is bit-identical).  ``program`` is this kernel
+        already assembled for ``target`` (from :meth:`program`); a
+        caller that also needs the program passes it in instead of
+        assembling twice.
         """
-        program = self.program(target)
+        if program is None:
+            program = self.program(target)
         result, sink = run_program(
             program, inputs=inputs, max_cycles=max_cycles,
             fastpath=fastpath,
         )
         return result, sink.values
 
-    def check(self, target, inputs, max_cycles=2_000_000, fastpath=None):
+    def check(self, target, inputs, max_cycles=2_000_000, fastpath=None,
+              program=None):
         """Run and compare against the golden model.
 
         Returns the :class:`~repro.sim.simulator.RunResult`; raises
-        AssertionError with a diff on mismatch.
+        AssertionError with a diff on mismatch.  ``program`` is as for
+        :meth:`run`.
         """
         result, outputs = self.run(
             target, inputs, max_cycles=max_cycles, fastpath=fastpath,
+            program=program,
         )
         expected = self.expected(inputs)
         if outputs != expected:

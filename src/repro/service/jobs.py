@@ -529,8 +529,8 @@ def kernel_run_job(params, seed):
     target = Target.named(params["isa"])
     rng = np.random.default_rng(params["seed"])
     inputs = kernel.generate_inputs(rng, params["transactions"])
-    result = kernel.check(target, inputs)
     program = kernel.program(target)
+    result = kernel.check(target, inputs, program=program)
     return {
         "kernel": kernel.name,
         "isa": target.name,

@@ -14,7 +14,7 @@ programs run forever), so the simulator recognizes the conventional
 ISAs' explicit ``halt``, on input-stream exhaustion, or at ``max_cycles``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro import obs
@@ -53,6 +53,13 @@ class ExecStats:
         self.by_size[decoded.size] = self.by_size.get(decoded.size, 0) + 1
         mnem = decoded.mnemonic
         self.by_mnemonic[mnem] = self.by_mnemonic.get(mnem, 0) + 1
+
+    def copy(self):
+        """An independent copy: the tallies are copied, not shared."""
+        return replace(
+            self, by_class=dict(self.by_class),
+            by_mnemonic=dict(self.by_mnemonic), by_size=dict(self.by_size),
+        )
 
     @property
     def branch_fraction(self):
